@@ -12,5 +12,6 @@ Subpackages by task:
 """
 
 from . import czm, filcodec, gridio, jobs, records, truss, weibull  # noqa: F401
+from ._base import FempostError, NoConvergence  # noqa: F401
 
 __version__ = "0.1.0"

@@ -10,44 +10,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import czm, filcodec, gridio, jobs, records, truss, weibull
+from ._base import FempostError, read_csv
 
 DEFAULT_SEED = 1234
 
-#: Exceptions that signal a domain problem rather than bad usage.
-DOMAIN_ERRORS = (
-    filcodec.FilCodecError,
-    records.MalformedRecord,
-    records.OrphanStressRecord,
-    weibull.DomainError,
-    weibull.RankOutOfRange,
-    weibull.NoConvergence,
-    weibull.DegenerateFit,
-    truss.SingularStiffness,
-    truss.Infeasible,
-    truss.NoConvergence,
-    czm.NonPositiveInput,
-    czm.DuplicateInputs,
-    czm.BoxTooSmall,
-    czm.NoConvergence,
-    jobs.JobError,
-    ValueError,
-    OSError,
-)
+#: Exceptions that signal a domain problem rather than bad usage.  Plain
+#: ValueError covers the validation in the library's dataclasses and numpy's
+#: parsing of numeric input.
+DOMAIN_ERRORS = (FempostError, ValueError, OSError)
 
 
 def _fmt(x) -> str:
     return f"{x:.6g}"
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage errors exit 1, not argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_on_error_code if hasattr(self, "exit_on_error_code") else 1)
 
 
 def _read_flat(path) -> str:
@@ -57,44 +36,40 @@ def _read_flat(path) -> str:
 
 
 def _out_stream(path):
-    return sys.stdout if path in (None, "-") else open(path, "w")
+    return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
 
 
 def cmd_decode(args) -> int:
     stream = filcodec.decode_stream(_read_flat(args.input), lenient=args.lenient)
-    out = _out_stream(args.output)
-    for i, rec in enumerate(stream):
-        attrs = ", ".join(
-            _fmt(a) if isinstance(a, float) else repr(a) for a in rec.attributes
-        )
-        out.write(f"record {i}: key={rec.key} length={rec.length} attrs=[{attrs}]\n")
-    out.write(f"total records: {len(stream)}\n")
-    if out is not sys.stdout:
-        out.close()
+    with _out_stream(args.output) as out:
+        for i, rec in enumerate(stream):
+            attrs = ", ".join(
+                _fmt(a) if isinstance(a, float) else repr(a) for a in rec.attributes
+            )
+            out.write(f"record {i}: key={rec.key} length={rec.length} attrs=[{attrs}]\n")
+        out.write(f"total records: {len(stream)}\n")
     return 0
 
 
 def cmd_extract(args) -> int:
     stream = filcodec.decode_stream(_read_flat(args.input))
     key = args.key
-    out = _out_stream(args.output)
-    if key == records.KEY_NODES:
-        records.extract_nodes(stream).to_csv(out)
-    elif key == records.KEY_ELEMENTS:
-        records.extract_elements(stream).to_csv(out)
-    elif key in (records.KEY_DISPLACEMENTS, records.KEY_REACTIONS):
-        records.extract_nodal_field(stream, key).to_csv(out)
-    elif key == records.KEY_STRESS:
-        records.extract_stresses(stream).to_csv(out)
-    else:
-        rows = records.extract_raw(stream, key)
-        out.write("attributes\n")
-        for attrs in rows:
-            out.write(" ".join(
-                _fmt(a) if isinstance(a, float) else str(a) for a in attrs
-            ) + "\n")
-    if out is not sys.stdout:
-        out.close()
+    with _out_stream(args.output) as out:
+        if key == records.KEY_NODES:
+            records.extract_nodes(stream).to_csv(out)
+        elif key == records.KEY_ELEMENTS:
+            records.extract_elements(stream).to_csv(out)
+        elif key in (records.KEY_DISPLACEMENTS, records.KEY_REACTIONS):
+            records.extract_nodal_field(stream, key).to_csv(out)
+        elif key == records.KEY_STRESS:
+            records.extract_stresses(stream).to_csv(out)
+        else:
+            rows = records.extract_raw(stream, key)
+            out.write("attributes\n")
+            for attrs in rows:
+                out.write(" ".join(
+                    _fmt(a) if isinstance(a, float) else str(a) for a in attrs
+                ) + "\n")
     return 0
 
 
@@ -136,20 +111,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_samples_csv(path):
-    loads = []
-    with open(path) as fh:
-        fh.readline()
-        for line in fh:
-            line = line.strip()
-            if line:
-                loads.append(float(line.split(",")[0]))
-    return weibull.rank_samples(loads)
-
-
 def cmd_weibull_fit(args) -> int:
     fields = weibull.load_element_fields_csv(args.fields)
-    samples = _load_samples_csv(args.samples)
+    samples = weibull.rank_samples(read_csv(args.samples, usecols=0)[:, 0])
     params, trace = weibull.fit_three_parameter(
         fields, samples, V0=args.v0, tol=args.tol, max_iter=args.max_iter
     )
@@ -254,7 +218,7 @@ def cmd_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fempost", description=__doc__)
+    parser = argparse.ArgumentParser(prog="fempost", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("decode", help="dump the logical records of a results file")

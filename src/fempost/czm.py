@@ -25,6 +25,8 @@ import numpy as np
 from scipy.interpolate import RBFInterpolator
 from scipy.optimize import minimize
 
+from ._base import FempostError, NoConvergence, read_csv
+
 __all__ = [
     "TSLParams",
     "ForwardConfig",
@@ -46,20 +48,16 @@ __all__ = [
 N_POINTS = 12
 
 
-class NonPositiveInput(ValueError):
+class NonPositiveInput(FempostError, ValueError):
     """A cohesive quantity that must be positive is not."""
 
 
-class DuplicateInputs(ValueError):
+class DuplicateInputs(FempostError, ValueError):
     """Two surrogate training inputs coincide."""
 
 
-class BoxTooSmall(RuntimeError):
+class BoxTooSmall(FempostError, RuntimeError):
     """Target curve unreachable inside the parameter box."""
-
-
-class NoConvergence(RuntimeError):
-    """Outer identification loop exhausted its iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -356,17 +354,9 @@ def inverse_identify(
 def load_target_csv(path, config: ForwardConfig = ForwardConfig()) -> ResponseCurve:
     """Read a (CMOD, load) curve from comma-separated text and resample it
     onto the 12 common abscissae by linear interpolation."""
-    rows = []
-    with open(path) as fh:
-        fh.readline()  # header
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            v_s, p_s = line.split(",")
-            rows.append((float(v_s), float(p_s)))
-    rows.sort()
-    v = np.array([r[0] for r in rows])
-    p = np.array([r[1] for r in rows])
+    table = read_csv(path)
+    if table.shape[1] != 2:
+        raise ValueError(f"expected 2 columns (cmod,load), got {table.shape[1]}")
+    v, p = table[np.lexsort(table.T[::-1])].T
     grid = np.linspace(config.cmod_min, config.cmod_max, N_POINTS)
     return ResponseCurve(cmod=grid, load=np.interp(grid, v, p))

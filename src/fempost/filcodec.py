@@ -20,8 +20,9 @@ Decoded attribute values are plain Python ``int``, ``float`` and 8-character
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+
+from ._base import FempostError
 
 __all__ = [
     "LINE_WIDTH",
@@ -46,11 +47,8 @@ __all__ = [
 
 LINE_WIDTH = 80
 
-#: A decoded attribute value.
-DataItem = "int | float | str"
 
-
-class FilCodecError(Exception):
+class FilCodecError(FempostError):
     """Base class for codec failures.  Carries the flat-stream offset."""
 
     def __init__(self, message: str, offset: int | None = None):
@@ -111,10 +109,6 @@ class LogicalRecord:
         object.__setattr__(self, "attributes", tuple(self.attributes))
         if self.length < 0:
             object.__setattr__(self, "length", 2 + len(self.attributes))
-
-
-#: A decoded stream is simply an ordered list of records.
-FilStream = "list[LogicalRecord]"
 
 
 def fil_to_string(file_path) -> str:
@@ -303,8 +297,3 @@ def write_fil(records, file_path) -> None:
         fh.write(text)
         if text:
             fh.write("\n")
-
-
-def read_fil(file_path, lenient: bool = False) -> "list[LogicalRecord]":
-    """Convenience: flatten and decode a results file in one step."""
-    return decode_stream(fil_to_string(file_path), lenient=lenient)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+from ._base import FempostError
 
 __all__ = [
     "JobSpec",
@@ -27,7 +29,7 @@ __all__ = [
 ]
 
 
-class JobError(Exception):
+class JobError(FempostError):
     """Base class for orchestration failures."""
 
 
@@ -118,7 +120,8 @@ def run_job(spec: JobSpec) -> Path:
     lck = workdir / f"{spec.job_name}.lck"
     while lck.exists():
         if time.monotonic() >= deadline:
-            process.poll()
+            process.kill()
+            process.wait()
             raise JobTimeout(
                 f"lock file {lck} still present after {spec.timeout} s"
             )

@@ -21,6 +21,7 @@ import io
 import warnings
 from dataclasses import dataclass
 
+from ._base import FempostError
 from .filcodec import LogicalRecord, str8
 
 __all__ = [
@@ -49,11 +50,11 @@ KEY_ELEMENT_HEADER = 1
 KEY_STRESS = 11
 
 
-class MalformedRecord(Exception):
+class MalformedRecord(FempostError):
     """A record matching the requested key has an unexpected attribute layout."""
 
 
-class OrphanStressRecord(Exception):
+class OrphanStressRecord(FempostError):
     """A stress record appeared before any element header record."""
 
 

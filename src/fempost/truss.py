@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from ._base import FempostError, NoConvergence
+
 __all__ = [
     "G_ACCEL",
     "TrussProblem",
@@ -45,16 +47,12 @@ G_ACCEL = 9.81
 SQRT2 = math.sqrt(2.0)
 
 
-class SingularStiffness(ValueError):
+class SingularStiffness(FempostError, ValueError):
     """Stiffness matrix is singular (zero or negative area)."""
 
 
-class Infeasible(RuntimeError):
+class Infeasible(FempostError, RuntimeError):
     """No feasible design found."""
-
-
-class NoConvergence(RuntimeError):
-    """Optimizer failed to converge."""
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from ._base import FempostError, NoConvergence, read_csv
+
 __all__ = [
     "WeibullParams",
     "ElementField",
@@ -43,19 +45,15 @@ __all__ = [
 LOG10_FLOOR = -16.0
 
 
-class DomainError(ValueError):
+class DomainError(FempostError, ValueError):
     """Weibull stress below the threshold stress."""
 
 
-class RankOutOfRange(ValueError):
+class RankOutOfRange(FempostError, ValueError):
     """Empirical rank outside 1..n."""
 
 
-class NoConvergence(RuntimeError):
-    """Iterative calibration did not converge within the iteration budget."""
-
-
-class DegenerateFit(ValueError):
+class DegenerateFit(FempostError, ValueError):
     """Fewer distinct Weibull-stress values than free parameters."""
 
 
@@ -131,14 +129,19 @@ def max_principal_stress(components) -> float:
     return float(np.linalg.eigvalsh(tensor)[-1])
 
 
+def _weighted_excess(field: ElementField, params: WeibullParams) -> np.ndarray:
+    """Per-element term max(sigma1 - sigma_th, 0)**m * V/V0 of the m-norm."""
+    excess = np.maximum(field.sigma1 - params.sigma_th, 0.0)
+    return excess**params.m * (field.volume / params.V0)
+
+
 def weibull_stress(field: ElementField, params: WeibullParams) -> float:
     """Weibull stress of one element field.
 
     Elements at or below the threshold contribute nothing; if no element
     exceeds it the Weibull stress equals the threshold.
     """
-    excess = np.maximum(field.sigma1 - params.sigma_th, 0.0)
-    total = np.sum(excess**params.m * (field.volume / params.V0))
+    total = np.sum(_weighted_excess(field, params))
     return params.sigma_th + float(total ** (1.0 / params.m))
 
 
@@ -244,9 +247,9 @@ def fit_three_parameter(
         ]
         new = _fit_cdf(sw, pf_emp, (sigma_th, m, sigma_u), bounds)
         old = np.array([sigma_th, m, sigma_u])
-        trace.append(tuple(new))
+        trace.append(tuple(float(v) for v in new))
         change = np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-30)
-        sigma_th, m, sigma_u = new
+        sigma_th, m, sigma_u = trace[-1]
         if change < tol:
             return WeibullParams(sigma_th, m, sigma_u, V0), trace
     raise NoConvergence(f"no convergence after {max_iter} iterations")
@@ -259,10 +262,7 @@ def hazard_map(field: ElementField, params: WeibullParams):
     uses only its own volume.  Returns ``(pf, log10_pf)`` arrays; the log is
     floored at -16 so zero-probability elements stay plottable.
     """
-    excess = np.maximum(field.sigma1 - params.sigma_th, 0.0)
-    sw_local = params.sigma_th + (
-        excess**params.m * (field.volume / params.V0)
-    ) ** (1.0 / params.m)
+    sw_local = params.sigma_th + _weighted_excess(field, params) ** (1.0 / params.m)
     pf = failure_probability(sw_local, params)
     pf = np.atleast_1d(pf)
     with np.errstate(divide="ignore"):
@@ -278,27 +278,20 @@ def load_element_fields_csv(path) -> list:
     header).  Rows are grouped by load level; element order within a level
     follows element_id.
     """
-    groups: dict[float, list] = {}
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() == "":
-            raise ValueError("empty element-field file")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            level_s, eid_s, sigma_s, vol_s = line.split(",")
-            groups.setdefault(float(level_s), []).append(
-                (int(eid_s), float(sigma_s), float(vol_s))
-            )
-    fields = []
-    for level in sorted(groups):
-        rows = sorted(groups[level])
-        fields.append(
-            ElementField(
-                load_level=level,
-                sigma1=np.array([r[1] for r in rows]),
-                volume=np.array([r[2] for r in rows]),
-            )
+    table = read_csv(path)
+    if table.shape[1] != 4:
+        raise ValueError(
+            f"expected 4 columns (load_level,element_id,sigma1,volume), got {table.shape[1]}"
         )
-    return fields
+    eid = table[:, 1]
+    if not np.all(np.isfinite(eid) & (eid == np.trunc(eid))):
+        raise ValueError("element ids must be integers")
+    # sort rows by (load_level, element_id, sigma1, volume), then split per level
+    level, _, sigma1, volume = table[np.lexsort(table.T[::-1])].T
+    levels, starts = np.unique(level, return_index=True)
+    return [
+        ElementField(float(lv), s1, vol)
+        for lv, s1, vol in zip(
+            levels, np.split(sigma1, starts[1:]), np.split(volume, starts[1:])
+        )
+    ]

@@ -50,12 +50,14 @@ STUB_ROWS = [(1, (0.0, -0.0508)), (2, (0.001, -0.002))]
 
 STUB_SOLVER = textwrap.dedent(
     """\
+    import os
     import pathlib
     import sys
     import time
 
     job = sys.argv[1]
     mode = sys.argv[2] if len(sys.argv) > 2 else "ok"
+    pathlib.Path(job + ".pid").write_text(str(os.getpid()))
     lck = pathlib.Path(job + ".lck")
     lck.touch()
     if mode == "hang":

@@ -1,0 +1,70 @@
+"""The shared error base and CSV reader."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import fempost
+from fempost import cli, czm, truss, weibull
+from fempost._base import read_csv
+
+
+class TestErrorHierarchy:
+    def test_every_exported_exception_is_a_fempost_error(self):
+        modules = [
+            importlib.import_module(f"fempost.{info.name}")
+            for info in pkgutil.iter_modules(fempost.__path__)
+        ]
+        exported = [getattr(m, name) for m in modules for name in getattr(m, "__all__", ())]
+        errors = [e for e in exported if isinstance(e, type) and issubclass(e, Exception)]
+        assert {fempost.NoConvergence, fempost.filcodec.FilCodecError, fempost.jobs.JobError} <= set(errors)
+        for error in errors:
+            assert issubclass(error, fempost.FempostError), error
+
+    def test_one_no_convergence(self):
+        assert weibull.NoConvergence is truss.NoConvergence is czm.NoConvergence
+        assert weibull.NoConvergence is fempost.NoConvergence
+        assert issubclass(fempost.NoConvergence, RuntimeError)
+
+    def test_builtin_bases_kept(self):
+        assert issubclass(weibull.DomainError, ValueError)
+        assert issubclass(truss.SingularStiffness, ValueError)
+        assert issubclass(czm.BoxTooSmall, RuntimeError)
+
+    def test_cli_catches_three_bases(self):
+        assert cli.DOMAIN_ERRORS == (fempost.FempostError, ValueError, OSError)
+
+
+class TestReadCsv:
+    def test_rows_and_blank_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2.5\n\n3,-4e2\n")
+        assert read_csv(path).tolist() == [[1.0, 2.5], [3.0, -400.0]]
+
+    def test_usecols_ignores_other_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("load,note\n1.5,first\n2.5,second\n")
+        assert read_csv(path, usecols=0).tolist() == [[1.5], [2.5]]
+
+    @pytest.mark.parametrize("text", ["", "a,b\n", "a,b\n\n"])
+    def test_no_data_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no data rows"):
+            read_csv(path)
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n3\n")
+        with pytest.raises(ValueError):
+            read_csv(path)
+
+    @pytest.mark.parametrize("number", ["1_0", "١٢", "1.5_0"])
+    def test_non_ascii_number_forms_rejected(self, tmp_path, number):
+        # Python's float() accepts these forms; the CSV reader must not
+        float(number)
+        path = tmp_path / "t.csv"
+        path.write_text(f"a,b\n{number},1\n", encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_csv(path)

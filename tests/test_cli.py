@@ -1,5 +1,7 @@
+import gc
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -27,6 +29,75 @@ class TestDispatch:
         code, _, err = run_cli(capsys, "decode", str(bad))
         assert code == 2
         assert "error" in err
+
+    def test_help_exit_0(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        assert "usage: fempost" in out
+
+    def test_missing_required_option_exit_1(self, capsys):
+        code, _, err = run_cli(capsys, "extract", "some.fil")
+        assert code == 1
+        assert "usage:" in err
+
+
+def _garbled_fil(tmp_path):
+    path = tmp_path / "bad.fil"
+    path.write_text("*I 3garbled record header\n")
+    return ["decode", str(path)]
+
+
+def _infeasible_truss(tmp_path):
+    cfg = {
+        "E": 68.948e9, "rho": 2767.990471, "L": 9.144, "P": 444.974e3,
+        "d_max": 0.001, "sigma_max": 172.369e6,
+        "area_min": 0.003650822800775, "area_max": 0.0225806,
+        "x0": [0.0037, 0.0049],
+    }
+    path = tmp_path / "truss.cfg"
+    path.write_text(json.dumps(cfg))
+    return ["truss-opt", "--config", str(path)]
+
+
+def _three_column_target(tmp_path):
+    path = tmp_path / "target.csv"
+    path.write_text("cmod,load,extra\n0.1,100.0,1\n0.2,150.0,1\n")
+    return ["czm-identify", "--target", str(path)]
+
+
+def _header_only_fields(tmp_path):
+    path = tmp_path / "fields.csv"
+    path.write_text("load_level,element_id,sigma1,volume\n")
+    return [
+        "hazard", "--fields", str(path),
+        "--sigma-th", "1000", "--m", "4", "--sigma-u", "1200", "--v0", "1.0",
+    ]
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "make_argv",
+        [_garbled_fil, _infeasible_truss, _three_column_target, _header_only_fields],
+        ids=["codec", "truss", "czm", "weibull"],
+    )
+    def test_each_layer_exits_2(self, capsys, tmp_path, make_argv):
+        code, _, err = run_cli(capsys, *make_argv(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_output_file_closed_on_error(self, capsys, tmp_path):
+        from fempost.filcodec import LogicalRecord, write_fil
+
+        fil = tmp_path / "empty_node.fil"
+        write_fil([LogicalRecord(key=1901)], fil)  # node record with no attributes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(
+                capsys, "extract", str(fil), "--key", "1901", "-o", str(tmp_path / "out.csv")
+            )
+            gc.collect()
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestSynthDecode:

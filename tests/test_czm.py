@@ -214,3 +214,10 @@ class TestTargetIngestion:
         path.write_text("\n".join(lines) + "\n")
         resampled = load_target_csv(path, config)
         assert np.max(np.abs(resampled.load - curve.load)) / curve.peak_load < 1e-3
+
+    @pytest.mark.parametrize("row", ["0.1", "0.1,5.0,7.0"])
+    def test_wrong_column_count_rejected(self, tmp_path, row):
+        path = tmp_path / "target.csv"
+        path.write_text(f"cmod,load\n{row}\n")
+        with pytest.raises(ValueError):
+            load_target_csv(path)

@@ -1,3 +1,4 @@
+import os
 import sys
 import time
 
@@ -91,6 +92,10 @@ class TestRunJob:
             run_job(spec)
         elapsed = time.monotonic() - start
         assert elapsed <= spec.timeout + spec.poll_interval + 0.5
+        # the hung solver was killed and reaped, not left sleeping
+        pid = int((stub_solver.parent / "job2.pid").read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     def test_failing_solver_reports_output(self, stub_solver):
         spec = make_spec(stub_solver, "job3", mode="fail")

@@ -168,6 +168,8 @@ class TestFit:
         assert params.m == pytest.approx(4.0, rel=0.05)
         assert params.sigma_u == pytest.approx(1200.0, rel=0.05)
         assert len(trace) >= 1
+        assert type(params.m) is float
+        assert all(type(v) is float for v in (params.sigma_th, params.sigma_u, *trace[-1]))
 
     def test_zero_threshold_case(self):
         true = WeibullParams(0.0, 4.0, 1200.0, 1.0)
@@ -236,3 +238,38 @@ class TestCsvIngestion:
         assert fields[0].load_level == 1.0
         assert list(fields[1].sigma1) == [1800.0, 1900.0]
         assert list(fields[0].volume) == [0.5, 0.25]
+
+    def test_matches_row_by_row_reference(self, tmp_path):
+        """Shuffled rows group and order exactly as a per-line parse does."""
+        rng = np.random.default_rng(5)
+        rows = [
+            (level, eid, float(rng.normal(1500.0, 200.0)), float(rng.uniform(0.1, 1.0)))
+            for level in (0.5, 2.0, 1.25)
+            for eid in rng.permutation(40) + 1
+        ]
+        rows.append((2.0, 7, 1.0, 0.5))  # repeated id: ties break on sigma1
+        rng.shuffle(rows)
+        path = tmp_path / "fields.csv"
+        path.write_text(
+            "load_level,element_id,sigma1,volume\n"
+            + "".join(f"{lv!r},{eid},{s1!r},{vol!r}\n" for lv, eid, s1, vol in rows)
+        )
+        groups = {}
+        for lv, eid, s1, vol in rows:
+            groups.setdefault(lv, []).append((eid, s1, vol))
+        fields = load_element_fields_csv(path)
+        assert [f.load_level for f in fields] == sorted(groups)
+        for f, level in zip(fields, sorted(groups)):
+            ref = sorted(groups[level])
+            assert np.array_equal(f.sigma1, [r[1] for r in ref])
+            assert np.array_equal(f.volume, [r[2] for r in ref])
+
+    @pytest.mark.parametrize(
+        "row",
+        ["1.0,1.5,1500.0,0.5", "1.0,inf,1500.0,0.5", "1.0,1,1500.0", "1.0,1,1500.0,0.5,9"],
+    )
+    def test_bad_rows_rejected(self, tmp_path, row):
+        path = tmp_path / "fields.csv"
+        path.write_text(f"load_level,element_id,sigma1,volume\n{row}\n")
+        with pytest.raises(ValueError):
+            load_element_fields_csv(path)

@@ -21,7 +21,7 @@ print(f"  peak load {target.load.max():.1f} at CMOD "
       f"{target.cmod[target.load.argmax()]:.2f} mm")
 
 box = ((100.0, 300.0), (20.0, 100.0))
-params, history = inverse_identify(target, box, n_init=5, seed=0)
+params, history = inverse_identify(target, box, seed=0)
 
 print(f"\nouter iterations ({len(history)}):")
 for it, step in enumerate(history, start=1):
@@ -33,7 +33,7 @@ for it, step in enumerate(history, start=1):
 
 print(f"\nidentified: Tc={params.Tc:.2f} MPa, Gamma_c={params.Gamma_c:.2f} N/mm")
 
-# the separation law is fully determined: Gamma_c = e * Tc * delta_c
+# the separation law is fully determined: Gamma_c = 0.5 * Tc * delta_c
 delta_c = delta_from(params.Tc, params.Gamma_c)
 print(f"characteristic separation delta_c = {delta_c:.4f} mm "
       f"(energy check: {cohesive_energy(params.Tc, delta_c):.2f} N/mm)")

@@ -135,11 +135,11 @@ def cmd_hazard(args) -> int:
         raise ValueError(f"no element field at load level {level}")
     params = weibull.WeibullParams(args.sigma_th, args.m, args.sigma_u, args.v0)
     pf, log_pf = weibull.hazard_map(field, params)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("element_index,Pf,log10_Pf\n")
+    if args.csv or not args.output:
+        with _out_stream(args.csv) as out:
+            out.write("element_index,Pf,log10_Pf\n")
             for i, (p, lp) in enumerate(zip(pf, log_pf)):
-                fh.write(f"{i},{_fmt(p)},{_fmt(lp)}\n")
+                out.write(f"{i},{_fmt(p)},{_fmt(lp)}\n")
     if args.output:
         if not args.mesh:
             raise ValueError("--mesh is required for grid export")
@@ -149,10 +149,6 @@ def cmd_hazard(args) -> int:
         gridio.write_unstructured_grid(
             args.output, nodes, elements, "log10_Pf", log_pf
         )
-    if not args.csv and not args.output:
-        print("element_index,Pf,log10_Pf")
-        for i, (p, lp) in enumerate(zip(pf, log_pf)):
-            print(f"{i},{_fmt(p)},{_fmt(lp)}")
     return 0
 
 
@@ -184,8 +180,7 @@ def cmd_czm_identify(args) -> int:
     target = czm.load_target_csv(args.target, config)
     box = ((args.box[0], args.box[1]), (args.box[2], args.box[3]))
     params, history = czm.inverse_identify(
-        target, box, config=config, tol=args.tol, seed=args.seed,
-        max_outer=args.max_outer,
+        target, box, config=config, tol=args.tol, max_outer=args.max_outer,
     )
     final = history[-1]
     print(
@@ -271,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=[100.0, 300.0, 20.0, 100.0])
     p.add_argument("--tol", type=float, default=0.01)
     p.add_argument("--max-outer", type=int, default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_czm_identify)
 
     p = sub.add_parser("run", help="launch a solver job and wait on its lock file")

@@ -8,9 +8,9 @@ cohesive energy Gamma_c, related through the critical separation:
 The identification loop samples a handful of (Tc, Gamma_c) pairs, runs the
 forward model to obtain load-CMOD response curves, trains a surrogate mapping
 parameters to curves, minimizes the surrogate-vs-target mismatch over the
-parameter box, verifies the optimum with a real forward run, and feeds the
-verification pair back into the training set until the verified mismatch
-drops below tolerance.
+parameter box (one grid scan, then one local descent), verifies the optimum
+with a real forward run, and feeds the verification pair back into the
+training set until the verified mismatch drops below tolerance.
 
 The built-in forward model is a desk-scale closed-form stand-in for the
 cohesive finite element simulation; any callable with the same signature can
@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 N_POINTS = 12
+
+#: Points per side of the grid on which the surrogate mismatch is scanned.
+SEARCH_GRID = 41
+
+#: Outer iterations without a 1% verified improvement before giving up.
+STALL_LIMIT = 3
 
 
 class NonPositiveInput(FempostError, ValueError):
@@ -147,20 +153,18 @@ def forward_model(params: TSLParams, config: ForwardConfig = ForwardConfig()) ->
 class SurrogateModel:
     """Parameter-to-curve surrogate over normalized (Tc, Gamma_c) inputs."""
 
-    inputs: np.ndarray          # (n, 2) raw training inputs
-    outputs: np.ndarray         # (n, 12) training load vectors
-    lo: np.ndarray              # normalization range, low corner
-    hi: np.ndarray              # normalization range, high corner
-    kind: str = "interpolant"
-    _predictor: object = field(default=None, repr=False)
-
-    def _normalize(self, x):
-        return (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo)
+    lo: np.ndarray              # normalization origin
+    span: np.ndarray            # normalization width per input
+    _predictor: object = field(repr=False)
 
     def predict(self, params) -> np.ndarray:
-        """Predicted 12-point load vector at (Tc, Gamma_c)."""
-        x = np.atleast_2d([params.Tc, params.Gamma_c] if isinstance(params, TSLParams) else params)
-        return np.asarray(self._predictor(self._normalize(x)))[0]
+        """Predicted load vectors: shape (12,) for a :class:`TSLParams` or a
+        (Tc, Gamma_c) pair, (n, 12) for an (n, 2) array of pairs."""
+        if isinstance(params, TSLParams):
+            params = (params.Tc, params.Gamma_c)
+        x = np.asarray(params, dtype=float)
+        y = np.asarray(self._predictor(np.atleast_2d((x - self.lo) / self.span)))
+        return y.reshape(x.shape[:-1] + (N_POINTS,))
 
 
 def _ridge_network(x, y, n_hidden=10, ridge=1e-8, seed=0):
@@ -199,19 +203,17 @@ def train_surrogate(samples, kind: str = "interpolant", seed: int = 0) -> Surrog
     y = np.array([c.load for _, c in samples])
     if np.unique(x, axis=0).shape[0] != x.shape[0]:
         raise DuplicateInputs("coincident surrogate training inputs")
-    lo, hi = x.min(axis=0), x.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    lo_n, hi_n = lo, lo + span
-    xn = (x - lo_n) / span
+    lo = x.min(axis=0)
+    span = np.ptp(x, axis=0)
+    span = np.where(span > 0, span, 1.0)
+    xn = (x - lo) / span
     if kind == "interpolant":
         predictor = RBFInterpolator(xn, y, kernel="gaussian", epsilon=1.0)
     elif kind == "network":
         predictor = _ridge_network(xn, y, seed=seed)
     else:
         raise ValueError(f"unknown surrogate kind {kind!r}")
-    return SurrogateModel(
-        inputs=x, outputs=y, lo=lo_n, hi=hi_n, kind=kind, _predictor=predictor
-    )
+    return SurrogateModel(lo=lo, span=span, _predictor=predictor)
 
 
 def curve_mismatch(load, target: ResponseCurve) -> float:
@@ -235,28 +237,29 @@ def _initial_design(box) -> list:
 
 
 def _minimize_surrogate(model: SurrogateModel, target: ResponseCurve, box) -> TSLParams:
-    """Multi-start local descent of the surrogate mismatch over the box."""
+    """Grid scan of the surrogate mismatch over the box, then one bounded
+    local descent from the best grid point."""
     (t_lo, t_hi), (g_lo, g_hi) = box
+    tc, gc = np.meshgrid(
+        np.linspace(t_lo, t_hi, SEARCH_GRID), np.linspace(g_lo, g_hi, SEARCH_GRID)
+    )
+    grid = np.column_stack([tc.ravel(), gc.ravel()])
+    sq_error = np.mean((model.predict(grid) - target.load) ** 2, axis=1)
+    res = minimize(
+        lambda x: curve_mismatch(model.predict(x), target),
+        grid[np.argmin(sq_error)],
+        method="L-BFGS-B",
+        bounds=box,
+    )
+    return TSLParams(float(res.x[0]), float(res.x[1]))
 
-    def objective(x):
-        return curve_mismatch(model.predict(x), target)
 
-    starts = [
-        (t, g)
-        for t in np.linspace(t_lo, t_hi, 4)
-        for g in np.linspace(g_lo, g_hi, 4)
-    ]
-    best_x, best_f = None, np.inf
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            method="L-BFGS-B",
-            bounds=[(t_lo, t_hi), (g_lo, g_hi)],
-        )
-        if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
-    return TSLParams(float(best_x[0]), float(best_x[1]))
+def _known_curve(samples, params: TSLParams):
+    """Stored curve of the training point allclose to *params*, or None."""
+    for p, curve in samples:
+        if np.allclose([params.Tc, params.Gamma_c], [p.Tc, p.Gamma_c]):
+            return curve
+    return None
 
 
 @dataclass
@@ -274,19 +277,20 @@ def inverse_identify(
     box,
     forward=forward_model,
     config: ForwardConfig = ForwardConfig(),
-    n_init: int = 5,
     tol: float = 0.01,
     max_outer: int = 10,
     kind: str = "interpolant",
     seed: int = 0,
-    stall_limit: int = 3,
 ):
     """Identify (Tc, Gamma_c) whose forward response matches *target*.
 
     Returns ``(TSLParams, history)``; *history* lists one
     :class:`IdentificationStep` per outer iteration.  The returned optimum is
     the incumbent: the forward-verified evaluation with the smallest mismatch,
-    so the incumbent mismatch is non-increasing across iterations.
+    so the incumbent mismatch is non-increasing across iterations.  A
+    surrogate optimum that coincides with a training point is moved halfway
+    to the box centre before verification; *forward* is never called twice
+    on the same point.
 
     Raises :class:`BoxTooSmall` when the verified mismatch stops improving
     while still above tolerance, and :class:`NoConvergence` when the
@@ -294,15 +298,7 @@ def inverse_identify(
     """
     if np.any(target.cmod != np.linspace(config.cmod_min, config.cmod_max, N_POINTS)):
         raise ValueError("target CMOD abscissae differ from the model window")
-    design = _initial_design(box)[:n_init]
-    if len(design) < n_init:
-        rng = np.random.default_rng(seed)
-        (t_lo, t_hi), (g_lo, g_hi) = box
-        while len(design) < n_init:
-            design.append(
-                TSLParams(rng.uniform(t_lo, t_hi), rng.uniform(g_lo, g_hi))
-            )
-    samples = [(p, forward(p, config)) for p in design]
+    samples = [(p, forward(p, config)) for p in _initial_design(box)]
 
     incumbent, inc_mismatch = min(
         ((p, curve_mismatch(c.load, target)) for p, c in samples),
@@ -313,11 +309,22 @@ def inverse_identify(
         history.append(IdentificationStep(incumbent, inc_mismatch, incumbent, inc_mismatch))
         return incumbent, history
 
+    (t_lo, t_hi), (g_lo, g_hi) = box
     stall = 0
     for _ in range(max_outer):
         model = train_surrogate(samples, kind=kind, seed=seed)
         candidate = _minimize_surrogate(model, target, box)
-        verified = forward(candidate, config)
+        verified = _known_curve(samples, candidate)
+        if verified is not None:
+            # re-proposing a known point adds nothing; move toward the box centre
+            candidate = TSLParams(
+                0.5 * (candidate.Tc + 0.5 * (t_lo + t_hi)),
+                0.5 * (candidate.Gamma_c + 0.5 * (g_lo + g_hi)),
+            )
+            verified = _known_curve(samples, candidate)
+        if verified is None:
+            verified = forward(candidate, config)
+            samples.append((candidate, verified))
         mismatch = curve_mismatch(verified.load, target)
         if mismatch < inc_mismatch * (1 - 1e-2):
             stall = 0
@@ -330,24 +337,11 @@ def inverse_identify(
         )
         if inc_mismatch <= tol:
             return incumbent, history
-        if stall >= stall_limit:
+        if stall >= STALL_LIMIT:
             raise BoxTooSmall(
                 f"mismatch stalled at {inc_mismatch:.4g} > tol {tol:.4g}; "
                 "the target may be unreachable inside the box"
             )
-        if any(np.allclose([candidate.Tc, candidate.Gamma_c], [p.Tc, p.Gamma_c]) for p, _ in samples):
-            # re-proposing a known point adds nothing; perturb toward the box center
-            (t_lo, t_hi), (g_lo, g_hi) = box
-            candidate = TSLParams(
-                0.5 * (candidate.Tc + 0.5 * (t_lo + t_hi)),
-                0.5 * (candidate.Gamma_c + 0.5 * (g_lo + g_hi)),
-            )
-            verified = forward(candidate, config)
-        if not any(
-            np.allclose([candidate.Tc, candidate.Gamma_c], [p.Tc, p.Gamma_c])
-            for p, _ in samples
-        ):
-            samples.append((candidate, verified))
     raise NoConvergence(f"no convergence after {max_outer} outer iterations")
 
 

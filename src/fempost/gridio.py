@@ -21,7 +21,7 @@ _CELL_TYPES = {
 }
 
 
-def write_unstructured_grid(path, nodes, elements, scalar_name, values, title="hazard map"):
+def write_unstructured_grid(path, nodes, elements, scalar_name, values):
     """Write a legacy unstructured-grid file with one cell scalar.
 
     *nodes* is a NodeTable, *elements* an ElementTable; *values* holds one
@@ -35,7 +35,7 @@ def write_unstructured_grid(path, nodes, elements, scalar_name, values, title="h
     index = {nid: i for i, (nid, _) in enumerate(nodes.rows)}
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "hazard map",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(nodes.rows)} double",

@@ -101,7 +101,8 @@ def run_job(spec: JobSpec) -> Path:
     Returns the path to ``{job}.fil``.  Captured stdout/stderr are persisted
     as ``{job}.stdout`` / ``{job}.stderr`` next to the job for post-mortem.
     Cleanup suffixes are deleted after the results file is confirmed; the
-    results file itself is never deleted even if listed.
+    results file itself is never deleted even if listed.  The solver process
+    is always reaped; one still running at the timeout is killed.
     """
     workdir = spec.workdir
     command = shlex.split(spec.command_template.format(job=spec.job_name))
@@ -127,16 +128,19 @@ def run_job(spec: JobSpec) -> Path:
             )
         time.sleep(spec.poll_interval)
 
+    # a solver killed here has no exit code of its own to report
+    try:
+        exit_code = process.wait(timeout=max(deadline - time.monotonic(), 0.1))
+    except subprocess.TimeoutExpired:
+        exit_code = None
+        process.kill()
+        process.wait()
     fil = workdir / f"{spec.job_name}.fil"
     if not fil.exists():
-        try:
-            process.wait(timeout=max(deadline - time.monotonic(), 0.1))
-        except subprocess.TimeoutExpired:
-            pass
         detail = ""
-        if process.returncode:
+        if exit_code:
             detail = (
-                f"; exit code {process.returncode}"
+                f"; exit code {exit_code}"
                 f"; stderr: {stderr_path.read_text().strip()!r}"
             )
         raise MissingResults(f"results file {fil} absent after completion{detail}")

@@ -44,6 +44,12 @@ __all__ = [
 
 G_ACCEL = 9.81
 
+#: SLSQP stopping tolerance on the scaled objective.
+FTOL = 1e-9
+
+#: Largest displacement-constraint violation accepted in a returned design.
+FEASIBILITY_SLACK = 1e-3
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -139,12 +145,7 @@ def evaluate_constraints(state: TrussState, problem: TrussProblem) -> np.ndarray
     return np.array([abs(uy) - problem.d_max, abs(ux) - problem.d_max])
 
 
-def optimize_truss(
-    problem: TrussProblem,
-    x0,
-    tol_f: float = 1e-3,
-    tol_c: float = 1e-3,
-):
+def optimize_truss(problem: TrussProblem, x0):
     """Minimize truss weight subject to displacement constraints and bounds.
 
     Returns ``(TrussState, counts)`` where *counts* holds the objective and
@@ -175,13 +176,13 @@ def optimize_truss(
         method="SLSQP",
         bounds=[(lb / scale, 1.0), (lb / scale, 1.0)],
         constraints=[{"type": "ineq", "fun": constraint}],
-        options={"ftol": tol_f * 1e-6, "maxiter": 200},
+        options={"ftol": FTOL, "maxiter": 200},
     )
     if not res.success:
         raise NoConvergence(f"optimizer failed: {res.message}")
     state = solve_truss(res.x * scale, problem)
     c = evaluate_constraints(state, problem)
-    if np.any(c > tol_c):
+    if np.any(c > FEASIBILITY_SLACK):
         raise Infeasible(f"returned design violates constraints: {c}")
     return state, counts
 

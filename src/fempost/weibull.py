@@ -161,11 +161,10 @@ def empirical_cdf(rank: int, count: int) -> float:
     return (rank - 0.3) / (count + 0.4)
 
 
-def rank_samples(failure_loads, count=None) -> list:
+def rank_samples(failure_loads) -> list:
     """Build rank-ordered FailureSamples from raw failure loads."""
     loads = sorted(float(x) for x in failure_loads)
-    n = count if count is not None else len(loads)
-    return [FailureSample(load, j + 1, n) for j, load in enumerate(loads)]
+    return [FailureSample(load, j + 1, len(loads)) for j, load in enumerate(loads)]
 
 
 def _sigma_w_curve(fields, params: WeibullParams) -> np.ndarray:

@@ -211,6 +211,21 @@ class TestWeibullPipeline:
         assert code == 0
         assert csv_out.read_text().splitlines()[0] == "element_index,Pf,log10_Pf"
 
+    def test_hazard_to_stdout(self, capsys, tmp_path):
+        fields = tmp_path / "f.csv"
+        fields.write_text(
+            "load_level,element_id,sigma1,volume\n"
+            "1.0,1,2200.0,1.0\n1.0,2,1500.0,2.0\n1.0,3,1000.0,1.0\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "hazard", "--fields", str(fields),
+            "--sigma-th", "1000", "--m", "4", "--sigma-u", "1200", "--v0", "1.0",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "element_index,Pf,log10_Pf"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
+
     def test_hazard_grid_export(self, capsys, tmp_path):
         mesh = tmp_path / "mesh.fil"
         run_cli(capsys, "synth", "--nodes", "4", "--elements", "1", "-o", str(mesh))
@@ -245,6 +260,13 @@ class TestCzmIdentify:
         first = out.splitlines()[0]
         assert first.startswith("Tc=200")
         assert "Gamma_c=60" in first
+
+    def test_seed_option_removed(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "czm-identify", "--target", str(tmp_path / "t.csv"), "--seed", "1"
+        )
+        assert code == 1
+        assert "--seed" in err
 
 
 class TestRun:

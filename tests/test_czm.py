@@ -104,6 +104,10 @@ class TestSurrogate:
         model = train_surrogate(samples, kind="interpolant")
         for params, curve in samples:
             assert np.max(np.abs(model.predict(params) - curve.load)) < 1e-8
+        batched = model.predict(np.array([[p.Tc, p.Gamma_c] for p, _ in samples]))
+        assert batched.shape == (len(samples), N_POINTS)
+        for row, (params, _) in zip(batched, samples):
+            assert np.allclose(row, model.predict(params), rtol=0, atol=1e-9)
 
     def test_five_point_design_defined_everywhere(self):
         from fempost.czm import _initial_design
@@ -175,8 +179,16 @@ class TestInverseIdentify:
 
         base = forward_model(TSLParams(200.0, 60.0))
         impossible = ResponseCurve(cmod=base.cmod, load=base.load * 3.0)
+        evaluated = []
+
+        def recording_forward(params, config):
+            evaluated.append((params.Tc, params.Gamma_c))
+            return forward_model(params, config)
+
         with pytest.raises((BoxTooSmall, NoConvergence)):
-            inverse_identify(impossible, BOX, max_outer=12)
+            inverse_identify(impossible, BOX, forward=recording_forward, max_outer=12)
+        # a re-proposed known point is moved or reused, never re-run
+        assert len(set(evaluated)) == len(evaluated)
 
     def test_training_set_growth(self):
         true = TSLParams(237.0, 47.0)
@@ -191,7 +203,7 @@ class TestInverseIdentify:
             target, BOX, forward=counting_forward, tol=0.005, max_outer=15
         )
         # 5 initial evaluations plus one verification per outer iteration
-        assert calls["n"] >= 5 + len(history)
+        assert calls["n"] == 5 + len(history)
 
     def test_mismatch_norm_definition(self):
         target = forward_model(TSLParams(200.0, 60.0))

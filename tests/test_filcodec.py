@@ -47,9 +47,7 @@ class TestFilToString:
         with open(crlf, "w", newline="") as fh:
             fh.write("\r\n".join(body) + "\r\n")
         # oracle: strip \r and \n independently from the raw bytes
-        expected = (
-            open(crlf, "rb").read().replace(b"\r", b"").replace(b"\n", b"").decode()
-        )
+        expected = crlf.read_bytes().replace(b"\r", b"").replace(b"\n", b"").decode()
         assert fil_to_string(lf) == fil_to_string(crlf) == expected
 
     def test_missing_file(self, tmp_path):

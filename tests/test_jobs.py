@@ -1,6 +1,8 @@
+import gc
 import os
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -84,6 +86,13 @@ class TestRunJob:
         stream = decode_stream(fil_to_string(fil))
         table = extract_nodal_field(stream, 101)
         assert table.rows == [(1, (0.0, -0.0508)), (2, (0.001, -0.002))]
+
+    def test_solver_reaped_on_success(self, stub_solver):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_job(make_spec(stub_solver, "job7"))
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_timeout_on_persistent_lock(self, stub_solver):
         spec = make_spec(stub_solver, "job2", mode="hang", timeout=0.6)

@@ -136,6 +136,11 @@ class ResponseCurve:
         return float(self.load.max())
 
 
+def _cmod_grid(config: ForwardConfig) -> np.ndarray:
+    """The 12 CMOD abscissae every response curve is sampled at."""
+    return np.linspace(config.cmod_min, config.cmod_max, N_POINTS)
+
+
 def forward_model(params: TSLParams, config: ForwardConfig = ForwardConfig()) -> ResponseCurve:
     """Deterministic closed-form load-CMOD response for given cohesive params.
 
@@ -144,7 +149,7 @@ def forward_model(params: TSLParams, config: ForwardConfig = ForwardConfig()) ->
     """
     p_pk = config.alpha * params.Tc**0.8 * params.Gamma_c**0.2
     v_pk = config.beta * params.Gamma_c / params.Tc
-    v = np.linspace(config.cmod_min, config.cmod_max, N_POINTS)
+    v = _cmod_grid(config)
     load = p_pk * (v / v_pk) * np.exp(1.0 - v / v_pk)
     return ResponseCurve(cmod=v, load=load)
 
@@ -296,7 +301,7 @@ def inverse_identify(
     while still above tolerance, and :class:`NoConvergence` when the
     iteration budget runs out.
     """
-    if np.any(target.cmod != np.linspace(config.cmod_min, config.cmod_max, N_POINTS)):
+    if np.any(target.cmod != _cmod_grid(config)):
         raise ValueError("target CMOD abscissae differ from the model window")
     samples = [(p, forward(p, config)) for p in _initial_design(box)]
 
@@ -352,5 +357,5 @@ def load_target_csv(path, config: ForwardConfig = ForwardConfig()) -> ResponseCu
     if table.shape[1] != 2:
         raise ValueError(f"expected 2 columns (cmod,load), got {table.shape[1]}")
     v, p = table[np.lexsort(table.T[::-1])].T
-    grid = np.linspace(config.cmod_min, config.cmod_max, N_POINTS)
+    grid = _cmod_grid(config)
     return ResponseCurve(cmod=grid, load=np.interp(grid, v, p))

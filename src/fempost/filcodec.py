@@ -15,12 +15,14 @@ Three data-item encodings exist:
 * string    -- ``A`` + exactly 8 characters, blank-padded on the right.
 
 Decoded attribute values are plain Python ``int``, ``float`` and 8-character
-``str`` objects.
+``str`` objects.  A :class:`LogicalRecord` stores only its key and attributes;
+its length is derived as 2 + the attribute count, so a record cannot disagree
+with the item count it encodes to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._base import FempostError
 
@@ -83,7 +85,7 @@ class AttributeUnderrun(FilCodecError):
 
 
 class InvariantViolation(FilCodecError):
-    """Record to encode violates the length = 2 + attribute-count rule."""
+    """Record to encode has a negative key."""
 
 
 def str8(text: str) -> str:
@@ -99,16 +101,18 @@ def str8(text: str) -> str:
 
 @dataclass(frozen=True)
 class LogicalRecord:
-    """One logical record: declared item count, type key, attribute items."""
+    """One logical record: type key and attribute items."""
 
     key: int
     attributes: tuple = ()
-    length: int = field(default=-1)
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
-        if self.length < 0:
-            object.__setattr__(self, "length", 2 + len(self.attributes))
+
+    @property
+    def length(self) -> int:
+        """Item count of the record: length and key items plus the attributes."""
+        return 2 + len(self.attributes)
 
 
 def fil_to_string(file_path) -> str:
@@ -195,7 +199,7 @@ def _decode_record(flat: str, position: int):
                 start,
             ) from exc
         attributes.append(value)
-    return LogicalRecord(key=key, attributes=tuple(attributes), length=length), pos
+    return LogicalRecord(key=key, attributes=tuple(attributes)), pos
 
 
 def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
@@ -264,10 +268,6 @@ def encode_item(value) -> str:
 
 def encode_record(record: LogicalRecord) -> str:
     """Encode one logical record as a flat character string."""
-    if record.length != 2 + len(record.attributes):
-        raise InvariantViolation(
-            f"record length {record.length} != 2 + {len(record.attributes)} attributes"
-        )
     if record.key < 0:
         raise InvariantViolation(f"record key {record.key} < 0")
     parts = ["*", encode_item(record.length), encode_item(record.key)]

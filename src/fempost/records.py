@@ -5,6 +5,13 @@ for its record key and assembles a small tabular result.  The inverse
 generators build the same records back from tables; they are used to fabricate
 test fixtures in place of a real solver run.
 
+Every extractor follows the same rules.  Attributes are type-checked one by
+one (a mismatch raises :class:`MalformedRecord`).  Where an id must be unique
+(nodes, elements) a duplicate keeps the last record, moves it to the end of
+the row order and emits a ``UserWarning``.  Every table has one component
+width: mixed coordinate dimensions, nodal-field component counts or stress
+component counts raise :class:`MalformedRecord`.
+
 Key conventions used by this package:
 
 * 1901 -- node definition: node id, then coordinates.
@@ -62,95 +69,116 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_csv(header, rows, out) -> str | None:
-    buffer = out if out is not None else io.StringIO()
-    buffer.write(",".join(header) + "\n")
-    for row in rows:
-        buffer.write(",".join(_csv_cell(v) for v in row) + "\n")
-    if out is None:
-        return buffer.getvalue()
-    return None
-
-
-@dataclass
-class NodeTable:
-    """Rows of (node_id, coords); all rows share one coordinate dimension."""
-
-    rows: list
+class _Table:
+    """Shared layout of every table: ``rows`` is a list of tuples whose last
+    entry holds the components, all of one width; CSV spreads the components
+    over one cell each under the header the table supplies."""
 
     def __len__(self):
         return len(self.rows)
 
     @property
-    def dimension(self) -> int:
-        return len(self.rows[0][1]) if self.rows else 0
+    def _width(self) -> int:
+        return len(self.rows[0][-1]) if self.rows else 0
+
+    @staticmethod
+    def _cells(row) -> tuple:
+        return (*row[:-1], *row[-1])
 
     def to_csv(self, out=None):
-        d = self.dimension
-        header = ["node_id"] + [f"x{i + 1}" for i in range(d)]
-        flat = [(nid, *coords) for nid, coords in self.rows]
-        return _write_csv(header, flat, out)
+        buffer = out if out is not None else io.StringIO()
+        buffer.write(",".join(self._header()) + "\n")
+        for row in self.rows:
+            buffer.write(",".join(_csv_cell(v) for v in self._cells(row)) + "\n")
+        return buffer.getvalue() if out is None else None
 
 
 @dataclass
-class ElementTable:
+class NodeTable(_Table):
+    """Rows of (node_id, coords); all rows share one coordinate dimension."""
+
+    rows: list
+
+    @property
+    def dimension(self) -> int:
+        return self._width
+
+    def _header(self):
+        return ["node_id"] + [f"x{i + 1}" for i in range(self.dimension)]
+
+
+@dataclass
+class ElementTable(_Table):
     """Rows of (element_id, element_type, connectivity)."""
 
     rows: list
 
-    def __len__(self):
-        return len(self.rows)
+    def _header(self):
+        return ["element_id", "element_type", "connectivity"]
 
-    def to_csv(self, out=None):
-        header = ["element_id", "element_type", "connectivity"]
-        flat = [(eid, etype, " ".join(str(n) for n in conn)) for eid, etype, conn in self.rows]
-        return _write_csv(header, flat, out)
+    @staticmethod
+    def _cells(row) -> tuple:
+        return (*row[:-1], " ".join(str(n) for n in row[-1]))
 
 
 @dataclass
-class NodalFieldTable:
+class NodalFieldTable(_Table):
     """Rows of (node_id, components) for one nodal result key."""
 
     key: int
     rows: list
 
-    def __len__(self):
-        return len(self.rows)
-
-    def to_csv(self, out=None):
-        ncomp = len(self.rows[0][1]) if self.rows else 0
-        header = ["node_id"] + [f"c{i + 1}" for i in range(ncomp)]
-        flat = [(nid, *comps) for nid, comps in self.rows]
-        return _write_csv(header, flat, out)
+    def _header(self):
+        return ["node_id"] + [f"c{i + 1}" for i in range(self._width)]
 
 
 @dataclass
-class StressTable:
+class StressTable(_Table):
     """Rows of (element_id, integration_point, components)."""
 
     rows: list
 
-    def __len__(self):
-        return len(self.rows)
-
-    def to_csv(self, out=None):
-        ncomp = len(self.rows[0][2]) if self.rows else 0
-        names = ["S11", "S22", "S33", "S12", "S13", "S23"][:ncomp]
-        header = ["element_id", "integration_point"] + names
-        flat = [(eid, ip, *comps) for eid, ip, comps in self.rows]
-        return _write_csv(header, flat, out)
+    def _header(self):
+        names = ["S11", "S22", "S33", "S12", "S13", "S23"][: self._width]
+        return ["element_id", "integration_point"] + names
 
 
-def _require_int(value, what, record):
-    if isinstance(value, int):
+_KIND_NAMES = {int: "an integer", float: "a float", str: "a string"}
+
+
+def _require(kind, value, what, record):
+    if isinstance(value, kind):
         return value
-    raise MalformedRecord(f"{what} is not an integer in record {record}")
+    raise MalformedRecord(f"{what} is not {_KIND_NAMES[kind]} in record {record}")
 
 
-def _require_float(value, what, record):
-    if isinstance(value, float):
-        return value
-    raise MalformedRecord(f"{what} is not a float in record {record}")
+def _last_wins(rows, what) -> list:
+    """Rows keyed by their first cell; a repeated id warns and its last row
+    replaces the earlier one at the end of the order."""
+    by_id = {}
+    for row in rows:
+        if by_id.pop(row[0], None) is not None:
+            warnings.warn(f"duplicate {what} id {row[0]}; keeping the last record")
+        by_id[row[0]] = row
+    return list(by_id.values())
+
+
+def _one_width(rows, what) -> list:
+    widths = {len(row[-1]) for row in rows}
+    if len(widths) > 1:
+        raise MalformedRecord(f"inconsistent {what} {sorted(widths)}")
+    return rows
+
+
+def _id_components(stream, key, what, component):
+    """(int node id, float components) of every *key* record, in stream order."""
+    for rec in stream:
+        if rec.key != key:
+            continue
+        if not rec.attributes:
+            raise MalformedRecord(f"{what} record has no attributes: {rec}")
+        nid = _require(int, rec.attributes[0], "node id", rec)
+        yield nid, tuple(_require(float, a, component, rec) for a in rec.attributes[1:])
 
 
 def extract_nodes(stream) -> NodeTable:
@@ -159,73 +187,37 @@ def extract_nodes(stream) -> NodeTable:
     Duplicate node ids keep the last record seen (multi-step files may rewrite
     nodes); a warning is emitted.
     """
-    by_id: dict[int, tuple] = {}
-    order: list[int] = []
-    for rec in stream:
-        if rec.key != KEY_NODES:
-            continue
-        if not rec.attributes:
-            raise MalformedRecord(f"node record has no attributes: {rec}")
-        nid = _require_int(rec.attributes[0], "node id", rec)
-        coords = tuple(
-            _require_float(a, "nodal coordinate", rec) for a in rec.attributes[1:]
-        )
-        if nid in by_id:
-            warnings.warn(f"duplicate node id {nid}; keeping the last record")
-            order.remove(nid)
-        by_id[nid] = coords
-        order.append(nid)
-    rows = [(nid, by_id[nid]) for nid in order]
-    dims = {len(coords) for _, coords in rows}
-    if len(dims) > 1:
-        raise MalformedRecord(f"inconsistent coordinate dimensions {sorted(dims)}")
-    return NodeTable(rows)
+    rows = _last_wins(_id_components(stream, KEY_NODES, "node", "nodal coordinate"), "node")
+    return NodeTable(_one_width(rows, "coordinate dimensions"))
+
+
+def _element_row(rec) -> tuple:
+    if len(rec.attributes) < 2:
+        raise MalformedRecord(f"element record too short: {rec}")
+    eid = _require(int, rec.attributes[0], "element id", rec)
+    etype = _require(str, rec.attributes[1], "element type", rec)
+    conn = tuple(_require(int, a, "connectivity entry", rec) for a in rec.attributes[2:])
+    if any(n < 1 for n in conn):
+        raise MalformedRecord(f"connectivity node id < 1 in record {rec}")
+    return eid, etype.rstrip(), conn
 
 
 def extract_elements(stream) -> ElementTable:
     """Collect element definitions (key 1900): id, type label, connectivity.
 
     The 8-character type label is returned with trailing blanks stripped.
+    Duplicate element ids keep the last record seen; a warning is emitted.
     """
-    rows = []
-    seen = set()
-    for rec in stream:
-        if rec.key != KEY_ELEMENTS:
-            continue
-        if len(rec.attributes) < 2:
-            raise MalformedRecord(f"element record too short: {rec}")
-        eid = _require_int(rec.attributes[0], "element id", rec)
-        etype = rec.attributes[1]
-        if not isinstance(etype, str):
-            raise MalformedRecord(f"element type is not a string in record {rec}")
-        conn = tuple(_require_int(a, "connectivity entry", rec) for a in rec.attributes[2:])
-        if any(n < 1 for n in conn):
-            raise MalformedRecord(f"connectivity node id < 1 in record {rec}")
-        if eid in seen:
-            warnings.warn(f"duplicate element id {eid}; keeping the last record")
-            rows = [r for r in rows if r[0] != eid]
-        seen.add(eid)
-        rows.append((eid, etype.rstrip(), conn))
-    return ElementTable(rows)
+    rows = (_element_row(rec) for rec in stream if rec.key == KEY_ELEMENTS)
+    return ElementTable(_last_wins(rows, "element"))
 
 
 def extract_nodal_field(stream, key: int) -> NodalFieldTable:
     """Collect a nodal result (key 101 displacements, 104 reaction forces)."""
     if key not in (KEY_DISPLACEMENTS, KEY_REACTIONS):
         raise ValueError(f"nodal field key must be 101 or 104, got {key}")
-    rows = []
-    for rec in stream:
-        if rec.key != key:
-            continue
-        if not rec.attributes:
-            raise MalformedRecord(f"nodal field record has no attributes: {rec}")
-        nid = _require_int(rec.attributes[0], "node id", rec)
-        comps = tuple(_require_float(a, "field component", rec) for a in rec.attributes[1:])
-        rows.append((nid, comps))
-    counts = {len(c) for _, c in rows}
-    if len(counts) > 1:
-        raise MalformedRecord(f"inconsistent component counts {sorted(counts)}")
-    return NodalFieldTable(key, rows)
+    rows = list(_id_components(stream, key, "nodal field", "field component"))
+    return NodalFieldTable(key, _one_width(rows, "component counts"))
 
 
 def extract_stresses(stream) -> StressTable:
@@ -240,8 +232,8 @@ def extract_stresses(stream) -> StressTable:
         if rec.key == KEY_ELEMENT_HEADER:
             if len(rec.attributes) < 2:
                 raise MalformedRecord(f"element header record too short: {rec}")
-            eid = _require_int(rec.attributes[0], "element id", rec)
-            ip = _require_int(rec.attributes[1], "integration point", rec)
+            eid = _require(int, rec.attributes[0], "element id", rec)
+            ip = _require(int, rec.attributes[1], "integration point", rec)
             if ip < 1:
                 raise MalformedRecord(f"integration point {ip} < 1 in record {rec}")
             header = (eid, ip)
@@ -251,14 +243,14 @@ def extract_stresses(stream) -> StressTable:
                     "stress record with no preceding element header"
                 )
             comps = tuple(
-                _require_float(a, "stress component", rec) for a in rec.attributes
+                _require(float, a, "stress component", rec) for a in rec.attributes
             )
             if len(comps) not in (4, 6):
                 raise MalformedRecord(
                     f"stress record carries {len(comps)} components, expected 4 or 6"
                 )
             rows.append((header[0], header[1], comps))
-    return StressTable(rows)
+    return StressTable(_one_width(rows, "component counts"))
 
 
 def extract_raw(stream, key: int) -> list:

@@ -148,10 +148,13 @@ class TestEncode:
     def test_minimal_record(self):
         assert encode_record(LogicalRecord(0, ())) == "*I 12I 10"
 
-    def test_declared_length_mismatch(self):
-        rec = LogicalRecord(0, (1, 2), length=9)
+    def test_length_is_two_plus_attributes(self):
+        assert LogicalRecord(0, (1, 2)).length == 4
+        assert LogicalRecord(0).length == 2
+
+    def test_negative_key_rejected(self):
         with pytest.raises(InvariantViolation):
-            encode_record(rec)
+            encode_record(LogicalRecord(-1, ()))
 
     def test_float_item_is_23_chars(self):
         for x in (0.0, 1.0, -1.0, 3.14159, 1e300, -1e300, 1e-300, -1e-299):

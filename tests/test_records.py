@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -5,8 +6,12 @@ import pytest
 from conftest import canonical_float
 from fempost.filcodec import LogicalRecord, decode_stream, encode_stream
 from fempost.records import (
+    ElementTable,
     MalformedRecord,
+    NodalFieldTable,
+    NodeTable,
     OrphanStressRecord,
+    StressTable,
     element_records,
     extract_elements,
     extract_nodal_field,
@@ -113,6 +118,13 @@ class TestExtractStresses:
         with pytest.raises(OrphanStressRecord):
             extract_stresses([LogicalRecord(11, (1.0, 2.0, 3.0, 4.0))])
 
+    def test_mixed_widths_rejected(self):
+        recs = stress_records(
+            [(1, 1, (1.0, 2.0, 3.0, 4.0)), (2, 1, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))]
+        )
+        with pytest.raises(MalformedRecord, match="inconsistent component counts"):
+            extract_stresses(round_trip(recs))
+
     def test_two_pairs_in_order(self):
         rows = [(1, 1, (1.0, 0.0, 0.0, 0.0)), (2, 4, (0.0, 2.0, 0.0, 0.0))]
         table = extract_stresses(round_trip(stress_records(rows)))
@@ -195,18 +207,17 @@ class TestGeneratorDuality:
     def test_fuzzed_stress_tables(self):
         rng = random.Random(16)
         for _ in range(250):
+            width = rng.choice([4, 6])  # one table carries one component width
             rows = [
-                (
-                    i + 1,
-                    rng.randrange(1, 9),
-                    tuple(rng.gauss(0, 100) for _ in range(rng.choice([4, 6]))),
-                )
+                (i + 1, rng.randrange(1, 9), tuple(rng.gauss(0, 100) for _ in range(width)))
                 for i in range(rng.randrange(0, 10))
             ]
             stream = round_trip(stress_records(rows))
             table = extract_stresses(stream)
             again = extract_stresses(round_trip(stress_records(table.rows)))
             assert again.rows == table.rows
+            lines = table.to_csv().splitlines()
+            assert {line.count(",") for line in lines} == {len(lines[0].split(",")) - 1}
 
 
 class TestCsvExport:
@@ -219,3 +230,67 @@ class TestCsvExport:
     def test_stress_csv_header(self):
         table = extract_stresses(stress_records([(1, 1, (1.0, 2.0, 3.0, 4.0))]))
         assert table.to_csv().splitlines()[0] == "element_id,integration_point,S11,S22,S33,S12"
+
+
+class TestCsvGolden:
+    """Byte-exact CSV output of every table, with rows and header only."""
+
+    @pytest.mark.parametrize(
+        "table, expected",
+        [
+            (
+                NodeTable([(1, (0.5, 1.5)), (2, (-1e-20, 3.0))]),
+                "node_id,x1,x2\n1,0.5,1.5\n2,-1e-20,3.0\n",
+            ),
+            (NodeTable([]), "node_id\n"),
+            (
+                ElementTable([(7, "CPE4", (1, 2, 3, 4)), (8, "C3D8", (5,))]),
+                "element_id,element_type,connectivity\n7,CPE4,1 2 3 4\n8,C3D8,5\n",
+            ),
+            (ElementTable([]), "element_id,element_type,connectivity\n"),
+            (
+                NodalFieldTable(104, [(3, (0.1, -2.0, 1e300))]),
+                "node_id,c1,c2,c3\n3,0.1,-2.0,1e+300\n",
+            ),
+            (NodalFieldTable(101, []), "node_id\n"),
+            (
+                StressTable([(1, 2, (1.0, 2.0, 3.0, 4.0, 5.0, 6.25))]),
+                "element_id,integration_point,S11,S22,S33,S12,S13,S23\n"
+                "1,2,1.0,2.0,3.0,4.0,5.0,6.25\n",
+            ),
+            (
+                StressTable([(1, 1, (1.0, 2.0, 3.0, 4.0)), (2, 4, (0.5, 0.0, 0.0, -0.5))]),
+                "element_id,integration_point,S11,S22,S33,S12\n"
+                "1,1,1.0,2.0,3.0,4.0\n2,4,0.5,0.0,0.0,-0.5\n",
+            ),
+            (StressTable([]), "element_id,integration_point\n"),
+        ],
+    )
+    def test_to_csv_bytes(self, table, expected):
+        assert table.to_csv() == expected
+        out = io.StringIO()
+        assert table.to_csv(out) is None
+        assert out.getvalue() == expected
+        assert len(table) == len(table.rows)
+
+
+class TestDuplicateIds:
+    """Duplicate ids keep the last record, move it to the end and warn."""
+
+    def test_nodes_last_wins_and_moves(self):
+        recs = node_records([(1, (0.0, 0.0)), (2, (1.0, 1.0)), (1, (9.0, 9.0))])
+        with pytest.warns(UserWarning) as caught:
+            table = extract_nodes(recs)
+        assert [r[0] for r in table.rows] == [2, 1]
+        assert table.rows == [(2, (1.0, 1.0)), (1, (9.0, 9.0))]
+        assert len(caught) == 1
+
+    def test_elements_last_wins_and_moves(self):
+        recs = element_records(
+            [(1, "CPE4", (1, 2, 3, 4)), (2, "CPE4", (2, 3, 4, 5)), (1, "CPE3", (7, 8, 9))]
+        )
+        with pytest.warns(UserWarning) as caught:
+            table = extract_elements(recs)
+        assert [r[0] for r in table.rows] == [2, 1]
+        assert table.rows == [(2, "CPE4", (2, 3, 4, 5)), (1, "CPE3", (7, 8, 9))]
+        assert len(caught) == 1

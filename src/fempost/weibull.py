@@ -12,7 +12,9 @@ threshold sigma_th as a volume-weighted m-norm:
 The calibration loop alternates between evaluating sigma_w at each observed
 failure load (for the current threshold and modulus) and least-squares fitting
 the three parameters against the empirical rank probabilities, until the
-relative change of the parameter vector drops below tolerance.
+relative change of the parameter vector drops below tolerance (Gao,
+Ruggieri & Dodds, Eng. Fract. Mech. 59, 1998).  The inner fit is a bounded
+trust-region least-squares solve with the analytic Jacobian of the CDF.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from ._base import FempostError, NoConvergence, read_csv
 
@@ -86,12 +88,16 @@ class ElementField:
     volume: np.ndarray
 
     def __post_init__(self):
+        if not np.isfinite(self.load_level):
+            raise ValueError(f"load level must be finite, got {self.load_level}")
         sigma1 = np.atleast_1d(np.asarray(self.sigma1, dtype=float))
         volume = np.atleast_1d(np.asarray(self.volume, dtype=float))
         if sigma1.shape != volume.shape or sigma1.ndim != 1 or sigma1.size < 1:
             raise ValueError("sigma1 and volume must be equal-length 1-d arrays")
-        if np.any(volume <= 0):
-            raise ValueError("all element volumes must be positive")
+        if not np.all(np.isfinite(sigma1)):
+            raise ValueError("all element sigma1 values must be finite")
+        if not np.all(np.isfinite(volume) & (volume > 0)):
+            raise ValueError("all element volumes must be positive and finite")
         object.__setattr__(self, "sigma1", sigma1)
         object.__setattr__(self, "volume", volume)
 
@@ -105,6 +111,8 @@ class FailureSample:
     count: int
 
     def __post_init__(self):
+        if not np.isfinite(self.failure_load):
+            raise ValueError(f"failure load must be finite, got {self.failure_load}")
         if not 1 <= self.rank <= self.count:
             raise RankOutOfRange(f"rank {self.rank} outside 1..{self.count}")
 
@@ -181,23 +189,54 @@ def _interp_sigma_w(load_levels, sw_levels, loads) -> np.ndarray:
     return np.interp(loads, load_levels, sw_levels)
 
 
+def _cdf_jacobian(x, sw) -> np.ndarray:
+    """Jacobian of F = 1 - exp(-z**m), z = max(sw - sigma_th, 0) / sigma_u,
+    with respect to (sigma_th, m, sigma_u); one row per entry of *sw*.
+
+    With S = exp(-z**m): dF/dsigma_th = -S m z**(m-1) / sigma_u,
+    dF/dm = S z**m ln z and dF/dsigma_u = -S m z**m / sigma_u.  Rows where
+    z = 0 are zero.
+    """
+    sigma_th, m, sigma_u = x
+    z = (sw - sigma_th) / sigma_u
+    above = z > 0
+    za = z[above]
+    s_zm = np.exp(-(za**m)) * za**m
+    jac = np.zeros((sw.size, 3))
+    jac[above, 0] = -m * s_zm / (za * sigma_u)
+    jac[above, 1] = s_zm * np.log(za)
+    jac[above, 2] = -m * s_zm / sigma_u
+    return jac
+
+
 def _fit_cdf(sw, pf_emp, start, bounds):
     """Least-squares fit of the three-parameter CDF to empirical points."""
+    lower, upper = np.array(bounds, dtype=float).T
+    # the threshold's upper bound moves between iterations: clip the start in
+    x = np.clip(np.asarray(start, dtype=float), lower, upper)
+    # least_squares needs lower < upper; a parameter whose interval has closed
+    # (sigma_th, when a failure sits at zero Weibull stress) stays where it is
+    free = lower < upper
 
-    def residual(x):
-        sigma_th, m, sigma_u = x
-        arg = np.maximum(sw - sigma_th, 0.0) / sigma_u
-        model = 1.0 - np.exp(-(arg**m))
-        return float(np.sum((model - pf_emp) ** 2))
+    def params(x_free):
+        full = x.copy()
+        full[free] = x_free
+        return full
 
-    res = minimize(
+    def residual(x_free):
+        sigma_th, m, sigma_u = params(x_free)
+        z = np.maximum(sw - sigma_th, 0.0) / sigma_u
+        return 1.0 - np.exp(-(z**m)) - pf_emp
+
+    res = least_squares(
         residual,
-        np.asarray(start, dtype=float),
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 4000},
+        x[free],
+        jac=lambda x_free: _cdf_jacobian(params(x_free), sw)[:, free],
+        bounds=(lower[free], upper[free]),
+        method="trf",
     )
-    return np.asarray(res.x, dtype=float)
+    x[free] = res.x
+    return x
 
 
 def fit_three_parameter(
@@ -275,7 +314,7 @@ def load_element_fields_csv(path) -> list:
 
     Expected columns: load_level, element_id, sigma1, volume (one-line
     header).  Rows are grouped by load level; element order within a level
-    follows element_id.
+    follows element_id.  An element may appear once per load level.
     """
     table = read_csv(path)
     if table.shape[1] != 4:
@@ -285,8 +324,12 @@ def load_element_fields_csv(path) -> list:
     eid = table[:, 1]
     if not np.all(np.isfinite(eid) & (eid == np.trunc(eid))):
         raise ValueError("element ids must be integers")
-    # sort rows by (load_level, element_id, sigma1, volume), then split per level
-    level, _, sigma1, volume = table[np.lexsort(table.T[::-1])].T
+    # sort rows by (load_level, element_id), then split per level
+    level, eid, sigma1, volume = table[np.lexsort((eid, table[:, 0]))].T
+    repeated = np.flatnonzero((level[1:] == level[:-1]) & (eid[1:] == eid[:-1]))
+    if repeated.size:
+        i = repeated[0]
+        raise ValueError(f"element {int(eid[i])} repeated at load level {float(level[i])}")
     levels, starts = np.unique(level, return_index=True)
     return [
         ElementField(float(lv), s1, vol)

@@ -19,6 +19,7 @@ from fempost.weibull import (
     rank_samples,
     weibull_stress,
 )
+from fempost.weibull import _cdf_jacobian
 
 
 def quantile_samples(true: WeibullParams, n: int):
@@ -158,15 +159,44 @@ class TestEmpiricalCdf:
             FailureSample(1.0, 7, 6)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_load_level(self, bad):
+        with pytest.raises(ValueError, match="load level"):
+            ElementField(bad, [1500.0], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sigma1(self, bad):
+        with pytest.raises(ValueError, match="sigma1"):
+            ElementField(1.0, [1500.0, bad], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_volume(self, bad):
+        with pytest.raises(ValueError, match="volumes"):
+            ElementField(1.0, [1500.0, 1600.0], [1.0, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_failure_sample(self, bad):
+        with pytest.raises(ValueError, match="failure load") as err:
+            FailureSample(bad, 1, 1)
+        assert not isinstance(err.value, RankOutOfRange)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rank_samples(self, bad):
+        with pytest.raises(ValueError, match="failure load") as err:
+            rank_samples([10.0, bad, 20.0, 30.0])
+        assert not isinstance(err.value, DegenerateFit)
+
+
 class TestFit:
     def test_recovers_true_parameters(self):
         true = WeibullParams(1000.0, 4.0, 1200.0, 1.0)
         params, trace = fit_three_parameter(
             linear_fields(), quantile_samples(true, 200), V0=1.0
         )
-        assert params.sigma_th == pytest.approx(1000.0, rel=0.05)
-        assert params.m == pytest.approx(4.0, rel=0.05)
-        assert params.sigma_u == pytest.approx(1200.0, rel=0.05)
+        assert params.sigma_th == pytest.approx(1000.0, rel=1e-6)
+        assert params.m == pytest.approx(4.0, rel=1e-6)
+        assert params.sigma_u == pytest.approx(1200.0, rel=1e-6)
         assert len(trace) >= 1
         assert type(params.m) is float
         assert all(type(v) is float for v in (params.sigma_th, params.sigma_u, *trace[-1]))
@@ -179,6 +209,43 @@ class TestFit:
         params, _ = fit_three_parameter(fields, rank_samples(sw / 10.0), V0=1.0)
         assert params.m == pytest.approx(4.0, rel=0.05)
         assert params.sigma_u == pytest.approx(1200.0, rel=0.05)
+
+    def test_failure_at_zero_stress(self):
+        # a failure at zero Weibull stress closes the threshold's interval
+        # [0, min sigma_w]; the fit then keeps sigma_th at 0
+        u = (np.arange(1, 201) - 0.3) / 200.4
+        sw = 1200.0 * (-np.log(1 - u)) ** 0.25
+        sw[0] = 0.0
+        fields = [ElementField(J, [10.0 * J], [1.0]) for J in np.linspace(0, 400, 81)]
+        params, _ = fit_three_parameter(fields, rank_samples(sw / 10.0), V0=1.0)
+        assert params.sigma_th == 0.0
+        assert params.m == pytest.approx(4.0, rel=0.05)
+        assert params.sigma_u == pytest.approx(1200.0, rel=0.05)
+
+    @pytest.mark.parametrize("x", [(1100.0, 4.0, 1200.0), (1000.0, 0.7, 900.0)])
+    def test_jacobian_matches_central_difference(self, x):
+        # sw spans both sides of sigma_th, so some rows have z = 0
+        sw = np.linspace(800.0, 3000.0, 45)
+        assert np.any(sw < x[0])
+
+        def cdf(p):
+            z = np.maximum(sw - p[0], 0.0) / p[2]
+            return 1.0 - np.exp(-(z ** p[1]))
+
+        jac = _cdf_jacobian(np.array(x), sw)
+        assert jac.shape == (sw.size, 3)
+        assert np.all(jac[sw <= x[0]] == 0.0)
+        for k in range(3):
+            h = 1e-5 * abs(x[k])
+            up, down = np.array(x), np.array(x)
+            up[k] += h
+            down[k] -= h
+            fd = (cdf(up) - cdf(down)) / (2 * h)
+            # compare away from the kink at z = 0, where F is not differentiable
+            smooth = np.abs(sw - x[0]) > 2 * h
+            np.testing.assert_allclose(
+                jac[smooth, k], fd[smooth], rtol=1e-6, atol=1e-6 * np.max(np.abs(fd))
+            )
 
     def test_infinite_tol_one_iteration(self):
         true = WeibullParams(1000.0, 4.0, 1200.0, 1.0)
@@ -247,7 +314,6 @@ class TestCsvIngestion:
             for level in (0.5, 2.0, 1.25)
             for eid in rng.permutation(40) + 1
         ]
-        rows.append((2.0, 7, 1.0, 0.5))  # repeated id: ties break on sigma1
         rng.shuffle(rows)
         path = tmp_path / "fields.csv"
         path.write_text(
@@ -264,9 +330,29 @@ class TestCsvIngestion:
             assert np.array_equal(f.sigma1, [r[1] for r in ref])
             assert np.array_equal(f.volume, [r[2] for r in ref])
 
+    def test_repeated_element_rejected(self, tmp_path):
+        path = tmp_path / "fields.csv"
+        path.write_text(
+            "load_level,element_id,sigma1,volume\n"
+            "1.0,1,1500.0,0.5\n"
+            "2.0,7,1800.0,0.5\n"
+            "1.0,7,1600.0,0.5\n"
+            "2.0,7,1.0,0.5\n"
+        )
+        with pytest.raises(ValueError, match="element 7 repeated at load level 2.0"):
+            load_element_fields_csv(path)
+
     @pytest.mark.parametrize(
         "row",
-        ["1.0,1.5,1500.0,0.5", "1.0,inf,1500.0,0.5", "1.0,1,1500.0", "1.0,1,1500.0,0.5,9"],
+        [
+            "1.0,1.5,1500.0,0.5",
+            "1.0,inf,1500.0,0.5",
+            "1.0,1,1500.0",
+            "1.0,1,1500.0,0.5,9",
+            "nan,1,1500.0,0.5",
+            "1.0,1,nan,0.5",
+            "1.0,1,1500.0,inf",
+        ],
     )
     def test_bad_rows_rejected(self, tmp_path, row):
         path = tmp_path / "fields.csv"

@@ -30,9 +30,7 @@ def _fmt(x) -> str:
 
 
 def _read_flat(path) -> str:
-    if path == "-":
-        return sys.stdin.read().replace("\r", "").replace("\n", "")
-    return filcodec.fil_to_string(path)
+    return filcodec.fil_to_string(sys.stdin if path == "-" else path)
 
 
 def _out_stream(path):

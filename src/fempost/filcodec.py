@@ -14,6 +14,15 @@ Three data-item encodings exist:
   accepted on decode; ``E`` always emitted),
 * string    -- ``A`` + exactly 8 characters, blank-padded on the right.
 
+Precision: a float item carries 16 significant digits (15 when a negative
+value has a 3-digit exponent), so encode -> decode returns a double within
+2**-45 relative of the original, not the same bits.  Re-encoding what this
+encoder wrote reproduces it byte for byte; a 16-digit field from another
+producer need not (about 9% of arbitrary ones re-encode with a different last
+digit).  The six largest-magnitude doubles (two positive, four negative) are
+the exception to both: they round up past the largest double and decode to
+infinity.  NaN and infinity encode as ``NAN`` and ``INF``.
+
 Decoded attribute values are plain Python ``int``, ``float`` and 8-character
 ``str`` objects.  A :class:`LogicalRecord` stores only its key and attributes;
 its length is derived as 2 + the attribute count, so a record cannot disagree
@@ -115,14 +124,18 @@ class LogicalRecord:
         return 2 + len(self.attributes)
 
 
-def fil_to_string(file_path) -> str:
+def fil_to_string(source) -> str:
     """Read a results file and return its content as one flat string.
 
+    *source* is a path or an open text stream (read to its end, not closed).
     Every carriage-return and line-feed character is removed; nothing else is
     altered, so files with LF and CRLF endings flatten identically.
     """
-    with open(file_path, "r", newline="") as fh:
-        raw = fh.read()
+    if hasattr(source, "read"):
+        raw = source.read()
+    else:
+        with open(source, "r", newline="") as fh:
+            raw = fh.read()
     return raw.replace("\r", "").replace("\n", "")
 
 
@@ -243,36 +256,64 @@ def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
     return records
 
 
+def _encode_int(value) -> str:
+    digits = str(value)
+    width = len(digits)
+    if width > 99:
+        raise FilCodecError(f"integer {value} needs a width > 99")
+    return _INT_PREFIX[width] + digits
+
+
+def _encode_float(value) -> str:
+    text = "D%22.15E" % value
+    if len(text) == 23:
+        return text
+    # a sign and a 3-digit exponent overflow the 22-character field: drop
+    # fractional digits until it fits
+    for prec in (14, 13):
+        text = "D%22.*E" % (prec, value)
+        if len(text) == 23:
+            return text
+    raise MalformedFloat(f"cannot encode {value!r} in 22 characters")
+
+
+def _encode_str(value) -> str:
+    return "A" + str8(value)
+
+
+_INT_PREFIX = tuple("I%2d" % width for width in range(100))
+_ENCODERS = {int: _encode_int, float: _encode_float, str: _encode_str}
+
+
+def _subclass_encoder(value):
+    """Encoder for a subclass of int, float or str; bool is rejected."""
+    if not isinstance(value, bool):
+        for kind, encoder in _ENCODERS.items():
+            if isinstance(value, kind):
+                return encoder
+    raise FilCodecError(f"cannot encode {value!r} as a data item")
+
+
 def encode_item(value) -> str:
     """Encode one attribute value in its data-item form."""
-    if isinstance(value, bool):
-        raise FilCodecError(f"cannot encode {value!r} as a data item")
-    if isinstance(value, int):
-        digits = str(value)
-        width = len(digits)
-        if width > 99:
-            raise FilCodecError(f"integer {value} needs a width > 99")
-        return f"I{width:2d}{digits}"
-    if isinstance(value, float):
-        # 15 fractional digits unless sign + 3-digit exponent would overflow
-        # the 22-character field.
-        for prec in (15, 14, 13):
-            text = f"{value:.{prec}E}"
-            if len(text) <= 22:
-                return "D" + text.rjust(22)
-        raise MalformedFloat(f"cannot encode {value!r} in 22 characters")
-    if isinstance(value, str):
-        return "A" + str8(value)
-    raise FilCodecError(f"cannot encode {value!r} as a data item")
+    encoder = _ENCODERS.get(type(value))
+    if encoder is None:
+        encoder = _subclass_encoder(value)
+    return encoder(value)
 
 
 def encode_record(record: LogicalRecord) -> str:
     """Encode one logical record as a flat character string."""
     if record.key < 0:
         raise InvariantViolation(f"record key {record.key} < 0")
-    parts = ["*", encode_item(record.length), encode_item(record.key)]
-    parts.extend(encode_item(a) for a in record.attributes)
-    return "".join(parts)
+    return "".join(
+        (
+            "*",
+            encode_item(record.length),
+            encode_item(record.key),
+            *map(encode_item, record.attributes),
+        )
+    )
 
 
 def encode_stream(records) -> str:
@@ -282,7 +323,7 @@ def encode_stream(records) -> str:
     mid-token where the boundary falls; the final line is blank-padded to 80.
     An empty stream encodes to the empty string.
     """
-    flat = "".join(encode_record(r) for r in records)
+    flat = "".join(map(encode_record, records))
     if not flat:
         return ""
     lines = [flat[i : i + LINE_WIDTH] for i in range(0, len(flat), LINE_WIDTH)]

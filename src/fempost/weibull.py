@@ -117,24 +117,27 @@ class FailureSample:
             raise RankOutOfRange(f"rank {self.rank} outside 1..{self.count}")
 
 
-def max_principal_stress(components) -> float:
+# positions of (S11, S22, S33, S12, S13, S23) in the symmetric 3x3 tensor
+_TENSOR_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+
+
+def max_principal_stress(components):
     """Largest eigenvalue of a symmetric stress tensor.
 
     Accepts 4 components (S11, S22, S33, S12; plane problems) or 6 components
-    (S11, S22, S33, S12, S13, S23).
+    (S11, S22, S33, S12, S13, S23) along the last axis.  One tensor returns a
+    ``float``; a batch of shape ``(..., 4|6)`` returns an array of shape
+    ``(...)``.
     """
     c = np.asarray(components, dtype=float)
-    if c.shape == (4,):
-        s11, s22, s33, s12 = c
-        s13 = s23 = 0.0
-    elif c.shape == (6,):
-        s11, s22, s33, s12, s13, s23 = c
-    else:
+    if c.ndim == 0 or c.shape[-1] not in (4, 6):
         raise ValueError(f"expected 4 or 6 stress components, got shape {c.shape}")
-    tensor = np.array(
-        [[s11, s12, s13], [s12, s22, s23], [s13, s23, s33]]
-    )
-    return float(np.linalg.eigvalsh(tensor)[-1])
+    if c.shape[-1] == 4:
+        padded = np.zeros(c.shape[:-1] + (6,))
+        padded[..., :4] = c
+        c = padded
+    sigma1 = np.linalg.eigvalsh(c[..., _TENSOR_INDEX])[..., -1]
+    return float(sigma1) if sigma1.ndim == 0 else sigma1
 
 
 def _weighted_excess(field: ElementField, params: WeibullParams) -> np.ndarray:
@@ -261,6 +264,9 @@ def fit_three_parameter(
         raise ValueError("at least 3 failure samples are required")
     fields = sorted(fields, key=lambda f: f.load_level)
     load_levels = np.array([f.load_level for f in fields])
+    repeated = np.flatnonzero(load_levels[1:] == load_levels[:-1])
+    if repeated.size:
+        raise ValueError(f"two element fields at load level {load_levels[repeated[0]]}")
     loads = np.array([s.failure_load for s in samples])
     pf_emp = np.array([empirical_cdf(s.rank, s.count) for s in samples])
 

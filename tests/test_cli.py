@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import sys
 import warnings
@@ -109,6 +110,16 @@ class TestSynthDecode:
         assert code == 0
         node_lines = [l for l in out.splitlines() if "key=1901" in l]
         assert len(node_lines) == 10
+
+    def test_decode_crlf_stdin(self, capsys, monkeypatch, tmp_path):
+        fil = tmp_path / "synth.fil"
+        run_cli(capsys, "synth", "--nodes", "10", "-o", str(fil))
+        _, from_file, _ = run_cli(capsys, "decode", str(fil))
+        crlf = fil.read_bytes().replace(b"\n", b"\r\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(crlf), newline=""))
+        code, from_stdin, _ = run_cli(capsys, "decode", "-")
+        assert code == 0
+        assert from_stdin == from_file
 
     def test_deterministic_given_seed(self, capsys, tmp_path):
         a, b = tmp_path / "a.fil", tmp_path / "b.fil"

@@ -49,9 +49,21 @@ class TestMaxPrincipalStress:
     def test_six_components(self):
         assert max_principal_stress([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) == pytest.approx(1.0)
 
-    def test_bad_component_count(self):
+    @pytest.mark.parametrize("shape", [(3,), (), (7, 5), (2, 3, 5)])
+    def test_bad_component_count(self, shape):
         with pytest.raises(ValueError):
-            max_principal_stress([1.0, 2.0, 3.0])
+            max_principal_stress(np.ones(shape))
+
+    @pytest.mark.parametrize("ncomp", [4, 6])
+    def test_batch_equals_rows(self, ncomp):
+        rows = np.random.default_rng(ncomp).normal(scale=100.0, size=(60, ncomp))
+        expected = [max_principal_stress(tuple(r)) for r in rows.tolist()]
+        assert all(type(v) is float for v in expected)
+        batch = max_principal_stress(rows)
+        assert batch.shape == (60,)
+        assert batch.tolist() == expected
+        stacked = max_principal_stress(rows.reshape(3, 20, ncomp))
+        assert stacked.tolist() == np.reshape(expected, (3, 20)).tolist()
 
     def test_against_characteristic_polynomial(self):
         # oracle: roots of det(S - lambda I) = 0 via numpy.roots
@@ -254,6 +266,12 @@ class TestFit:
         )
         assert len(trace) == 1
         assert np.isfinite([params.sigma_th, params.m, params.sigma_u]).all()
+
+    def test_repeated_load_level_rejected(self):
+        fields = linear_fields() + [ElementField(200.0, [9000.0], [1.0])]
+        samples = quantile_samples(WeibullParams(1000.0, 4.0, 1200.0, 1.0), 200)
+        with pytest.raises(ValueError, match="two element fields at load level 200.0"):
+            fit_three_parameter(fields, samples, V0=1.0)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):

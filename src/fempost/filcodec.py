@@ -124,17 +124,18 @@ class LogicalRecord:
         return 2 + len(self.attributes)
 
 
-def fil_to_string(source) -> str:
+def fil_to_string(file_path) -> str:
     """Read a results file and return its content as one flat string.
 
-    *source* is a path or an open text stream (read to its end, not closed).
     Every carriage-return and line-feed character is removed; nothing else is
     altered, so files with LF and CRLF endings flatten identically.
+    *file_path* may also be an open text stream, which is read to its end and
+    left open.
     """
-    if hasattr(source, "read"):
-        raw = source.read()
+    if hasattr(file_path, "read"):
+        raw = file_path.read()
     else:
-        with open(source, "r", newline="") as fh:
+        with open(file_path, "r", newline="") as fh:
             raw = fh.read()
     return raw.replace("\r", "").replace("\n", "")
 
@@ -256,6 +257,9 @@ def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
     return records
 
 
+_INT_PREFIX = tuple("I%2d" % width for width in range(100))
+
+
 def _encode_int(value) -> str:
     digits = str(value)
     width = len(digits)
@@ -281,7 +285,6 @@ def _encode_str(value) -> str:
     return "A" + str8(value)
 
 
-_INT_PREFIX = tuple("I%2d" % width for width in range(100))
 _ENCODERS = {int: _encode_int, float: _encode_float, str: _encode_str}
 
 

@@ -136,7 +136,7 @@ def max_principal_stress(components):
         padded = np.zeros(c.shape[:-1] + (6,))
         padded[..., :4] = c
         c = padded
-    sigma1 = np.linalg.eigvalsh(c[..., _TENSOR_INDEX])[..., -1]
+    sigma1 = np.linalg.eigvalsh(c.take(_TENSOR_INDEX, axis=-1))[..., -1]
     return float(sigma1) if sigma1.ndim == 0 else sigma1
 
 

@@ -190,8 +190,8 @@ class TestEncode:
         assert encode_stream([]) == ""
 
 
-# Exact encodings recorded before the type-dispatched encoder replaced the
-# isinstance chain; the rewrite must reproduce them byte for byte.
+# Exact item encodings; written files depend on them, so any change to the
+# encoder must reproduce them byte for byte.
 ENCODE_GOLDENS = [
     (0.0, "D 0.000000000000000E+00"),
     (-0.0, "D-0.000000000000000E+00"),

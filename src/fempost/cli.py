@@ -151,11 +151,8 @@ def cmd_hazard(args) -> int:
 
 
 def cmd_truss_opt(args) -> int:
-    if args.config:
-        problem, x0 = truss.load_problem(args.config)
-    else:
-        problem, x0 = truss.example_problem(), [0.0037, 0.0049]
-    state, counts = truss.optimize_truss(problem, x0)
+    problem = truss.load_problem(args.config) if args.config else truss.example_problem()
+    state, _ = truss.optimize_truss(problem)
     print(f"areas: [{_fmt(state.areas[0])}, {_fmt(state.areas[1])}] m^2")
     print(
         f"displacements: ux={_fmt(state.displacements[0])} "
@@ -166,10 +163,6 @@ def cmd_truss_opt(args) -> int:
         f"{_fmt(state.member_stresses[1])}] Pa"
     )
     print(f"weight: {_fmt(state.weight)} N")
-    print(
-        f"evaluations: objective={counts['objective']} "
-        f"constraint={counts['constraint']}"
-    )
     return 0
 
 
@@ -254,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="CSV fallback output path")
     p.set_defaults(func=cmd_hazard)
 
-    p = sub.add_parser("truss-opt", help="2-bar truss sizing optimization")
+    p = sub.add_parser("truss-opt", help="closed-form 2-bar truss sizing")
     p.add_argument("--config", help="JSON problem definition; omit for the built-in example")
     p.set_defaults(func=cmd_truss_opt)
 

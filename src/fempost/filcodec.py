@@ -219,9 +219,9 @@ def _decode_record(flat: str, position: int):
 def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
     """Decode a flat (line-break-free) character stream into logical records.
 
-    Trailing blank padding is ignored.  A garbled record header raises a
-    positioned :class:`BadRecordHeader`; with ``lenient=True`` the decoder
-    instead resynchronizes on the next asterisk.
+    Trailing blank padding is ignored.  A garbled record raises a positioned
+    :class:`FilCodecError` subclass; with ``lenient=True`` the decoder instead
+    drops the record and resynchronizes on the next asterisk.
     """
     if "\n" in flat or "\r" in flat:
         raise FilCodecError("flat stream must not contain line breaks")
@@ -233,7 +233,7 @@ def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
         if c == "*":
             try:
                 record, pos = _decode_record(flat, pos)
-            except (BadRecordHeader, AttributeUnderrun):
+            except FilCodecError:
                 if not lenient:
                     raise
                 nxt = flat.find("*", pos + 1)
@@ -272,13 +272,9 @@ def _encode_float(value) -> str:
     text = "D%22.15E" % value
     if len(text) == 23:
         return text
-    # a sign and a 3-digit exponent overflow the 22-character field: drop
-    # fractional digits until it fits
-    for prec in (14, 13):
-        text = "D%22.*E" % (prec, value)
-        if len(text) == 23:
-            return text
-    raise MalformedFloat(f"cannot encode {value!r} in 22 characters")
+    # a sign and a 3-digit exponent overflow the 22-character field by one;
+    # one fractional digit fewer always fits
+    return "D%22.14E" % value
 
 
 def _encode_str(value) -> str:

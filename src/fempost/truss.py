@@ -1,5 +1,5 @@
-"""Two-bar plane truss sizing: analytic solver, weight objective, constrained
-minimization.
+"""Two-bar plane truss sizing: analytic solver, weight objective, closed-form
+minimum-weight design.
 
 Geometry: free node at (L, 0), pinned supports at (0, 0) and (0, L); member 1
 is horizontal with length L and area A1, member 2 is the diagonal with length
@@ -12,19 +12,19 @@ independent of the areas, and the free-node displacements
 
 The sizing problem minimizes the truss weight g*rho*L*(A1 + sqrt(2)*A2)
 subject to |u_x|, |u_y| <= d_max and box bounds on the areas; the stress
-limit enters through the area lower bound A_min = sqrt(2)*P/sigma_max.
+limit enters through the area lower bound A_min = sqrt(2)*P/sigma_max.  The
+problem is convex and :func:`optimize_truss` solves it in closed form.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import minimize
 
-from ._base import FempostError, NoConvergence
+from ._base import FempostError
 
 __all__ = [
     "G_ACCEL",
@@ -32,7 +32,6 @@ __all__ = [
     "TrussState",
     "SingularStiffness",
     "Infeasible",
-    "NoConvergence",
     "solve_truss",
     "truss_weight",
     "evaluate_constraints",
@@ -43,12 +42,6 @@ __all__ = [
 ]
 
 G_ACCEL = 9.81
-
-#: SLSQP stopping tolerance on the scaled objective.
-FTOL = 1e-9
-
-#: Largest displacement-constraint violation accepted in a returned design.
-FEASIBILITY_SLACK = 1e-3
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,9 +68,14 @@ class TrussProblem:
     area_max: float   # upper area bound [m^2]
 
     def __post_init__(self):
-        for name in ("E", "rho", "L", "P", "d_max", "sigma_max", "area_min", "area_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not value > 0:  # also rejects NaN
+                raise ValueError(f"{field.name} must be positive, got {value}")
+            if value == math.inf and field.name not in ("d_max", "sigma_max"):
+                raise ValueError(f"{field.name} must be finite")
+        if self.area_min > self.area_max:
+            raise ValueError(f"area_min {self.area_min} exceeds area_max {self.area_max}")
         stress_bound = SQRT2 * self.P / self.sigma_max
         if self.area_min < stress_bound * (1 - 1e-9):
             raise ValueError(
@@ -145,46 +143,32 @@ def evaluate_constraints(state: TrussState, problem: TrussProblem) -> np.ndarray
     return np.array([abs(uy) - problem.d_max, abs(ux) - problem.d_max])
 
 
-def optimize_truss(problem: TrussProblem, x0):
-    """Minimize truss weight subject to displacement constraints and bounds.
+def optimize_truss(problem: TrussProblem, x0=None):
+    """Lightest design that meets the displacement limit within the area bounds.
 
-    Returns ``(TrussState, counts)`` where *counts* holds the objective and
-    constraint evaluation totals.
+    With c = E*d_max/(P*L): minimize A1 + sqrt(2)*A2 subject to
+    1/A1 + 2*sqrt(2)/A2 <= c (which implies |u_x| <= d_max).  Unless
+    (area_min, area_min) is feasible the constraint is active, and along it
+    the weight is convex in A1 with its stationary point at A1 = 3/c,
+    A2 = sqrt(2)*A1.  A1 is clipped up to area_min and to the A1 that puts A2
+    at area_max; a feasible, active case has 3/area_max < c <
+    3*sqrt(2)/area_min, so 3/c never needs clipping down.  Raises
+    :class:`Infeasible` when even (area_max, area_max) misses the limit.
+
+    Returns ``(TrussState, counts)``.  *x0* is ignored and both counts are 0;
+    they stay only for callers written against an iterative optimizer.
     """
-    lb, ub = problem.area_min, problem.area_max
-    x0 = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    lo, hi = problem.area_min, problem.area_max
+    c = problem.E * problem.d_max / (problem.P * problem.L)
     counts = {"objective": 0, "constraint": 0}
-
-    # optimize in O(1) variables: areas scaled by the upper bound,
-    # constraints by the displacement limit
-    scale = ub
-    c_scale = problem.d_max if math.isfinite(problem.d_max) else 1.0
-
-    def objective(z):
-        counts["objective"] += 1
-        return truss_weight(z * scale, problem) / 1000.0
-
-    def constraint(z):
-        counts["constraint"] += 1
-        state = solve_truss(z * scale, problem)
-        c = evaluate_constraints(state, problem)
-        return np.where(np.isfinite(c), -c / c_scale, 1.0)
-
-    res = minimize(
-        objective,
-        x0 / scale,
-        method="SLSQP",
-        bounds=[(lb / scale, 1.0), (lb / scale, 1.0)],
-        constraints=[{"type": "ineq", "fun": constraint}],
-        options={"ftol": FTOL, "maxiter": 200},
-    )
-    if not res.success:
-        raise NoConvergence(f"optimizer failed: {res.message}")
-    state = solve_truss(res.x * scale, problem)
-    c = evaluate_constraints(state, problem)
-    if np.any(c > FEASIBILITY_SLACK):
-        raise Infeasible(f"returned design violates constraints: {c}")
-    return state, counts
+    if (1.0 + 2.0 * SQRT2) / lo <= c:
+        return solve_truss((lo, lo), problem), counts
+    if (1.0 + 2.0 * SQRT2) / hi > c:
+        raise Infeasible(f"displacement limit {problem.d_max} m missed even at area_max")
+    a1 = max(3.0 / c, lo, 1.0 / (c - 2.0 * SQRT2 / hi))
+    # clipped only against rounding in the last bit
+    a2 = min(max(2.0 * SQRT2 / (c - 1.0 / a1), lo), hi)
+    return solve_truss((a1, a2), problem), counts
 
 
 def grid_sweep(problem: TrussProblem, n: int = 200):
@@ -222,13 +206,24 @@ def example_problem() -> TrussProblem:
     )
 
 
-def load_problem(path):
-    """Read a problem definition plus start point from a JSON config file.
+def load_problem(path) -> TrussProblem:
+    """Read a problem definition from a JSON config file.
 
-    Required keys: E, rho, L, P, d_max, sigma_max, area_min, area_max, x0.
-    Returns ``(TrussProblem, x0)``.
+    The file holds one object with a number for each :class:`TrussProblem`
+    field; an ``x0`` key is ignored, so configs that carry a start point
+    still load.  Raises ValueError naming a missing, unknown or non-numeric
+    key, or when the file is not a JSON object.
     """
     with open(path) as fh:
         cfg = json.load(fh)
-    x0 = cfg.pop("x0")
-    return TrussProblem(**cfg), x0
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: the truss config must be a JSON object")
+    cfg.pop("x0", None)
+    names = [field.name for field in fields(TrussProblem)]
+    for name in [*names, *cfg]:
+        if name not in names or name not in cfg:
+            kind = "missing" if name in names else "unknown"
+            raise ValueError(f"{path}: {kind} key {name!r}")
+        if isinstance(cfg[name], bool) or not isinstance(cfg[name], (int, float)):
+            raise ValueError(f"{path}: key {name!r} must be a number, got {cfg[name]!r}")
+    return TrussProblem(**cfg)

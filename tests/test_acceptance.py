@@ -40,7 +40,7 @@ class TestAcceptance:
     def test_03_truss_optimum(self):
         problem = truss.example_problem()
         start = time.monotonic()
-        state, _ = truss.optimize_truss(problem, [0.0037, 0.0049])
+        state, _ = truss.optimize_truss(problem)
         assert abs(state.areas[0] - 0.00365) / 0.00365 < 0.01
         assert abs(state.areas[1] - 0.00482) / 0.00482 < 0.01
         assert abs(state.weight - 2598.7) / 2598.7 < 0.005

@@ -3,10 +3,12 @@ import io
 import json
 import sys
 import warnings
+from dataclasses import asdict
 
 import pytest
 
 from fempost.cli import main
+from fempost.truss import example_problem
 
 
 def run_cli(capsys, *argv):
@@ -48,16 +50,16 @@ def _garbled_fil(tmp_path):
     return ["decode", str(path)]
 
 
-def _infeasible_truss(tmp_path):
-    cfg = {
-        "E": 68.948e9, "rho": 2767.990471, "L": 9.144, "P": 444.974e3,
-        "d_max": 0.001, "sigma_max": 172.369e6,
-        "area_min": 0.003650822800775, "area_max": 0.0225806,
-        "x0": [0.0037, 0.0049],
-    }
-    path = tmp_path / "truss.cfg"
-    path.write_text(json.dumps(cfg))
-    return ["truss-opt", "--config", str(path)]
+def _truss_config(cfg):
+    def make_argv(tmp_path):
+        path = tmp_path / "truss.cfg"
+        path.write_text(json.dumps(cfg))
+        return ["truss-opt", "--config", str(path)]
+    return make_argv
+
+
+EXAMPLE = asdict(example_problem())
+_infeasible_truss = _truss_config({**EXAMPLE, "d_max": 0.001, "x0": [0.0037, 0.0049]})
 
 
 def _three_column_target(tmp_path):
@@ -85,6 +87,22 @@ class TestDomainErrors:
         code, _, err = run_cli(capsys, *make_argv(tmp_path))
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"E": 68.948e9, "x0": [0.0037, 0.0049]}, "missing key 'rho'"),
+            ({**EXAMPLE, "d_min": 0.0}, "unknown key 'd_min'"),
+            ({**EXAMPLE, "E": "68.948e9"}, "key 'E' must be a number"),
+            (list(EXAMPLE.values()), "must be a JSON object"),
+        ],
+        ids=["missing-key", "unknown-key", "non-numeric", "not-object"],
+    )
+    def test_bad_truss_config_exits_2(self, capsys, tmp_path, cfg, message):
+        code, _, err = run_cli(capsys, *_truss_config(cfg)(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
     def test_output_file_closed_on_error(self, capsys, tmp_path):
         from fempost.filcodec import LogicalRecord, write_fil

@@ -139,6 +139,18 @@ class TestDecodeStream:
         stream = decode_stream("*X????" + good, lenient=True)
         assert stream == [LogicalRecord(19, (22,))]
 
+    @pytest.mark.parametrize(
+        "bad_item, error",
+        [("D" + "z" * 22, MalformedFloat), ("X" + "z" * 22, UnknownItemMarker)],
+        ids=["malformed-float", "unknown-marker"],
+    )
+    def test_lenient_resync_inside_attributes(self, bad_item, error):
+        good = encode_record(LogicalRecord(19, (22,)))
+        garbled = "*I 13I 219" + bad_item + good
+        assert decode_stream(garbled, lenient=True) == [LogicalRecord(19, (22,))]
+        with pytest.raises(error):
+            decode_stream(garbled)
+
     def test_rejects_line_breaks(self):
         with pytest.raises(Exception):
             decode_stream("*I 12I 10\n")

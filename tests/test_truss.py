@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,7 +134,7 @@ class TestOptimize:
         assert state.areas[0] == pytest.approx(OPTIMUM_AREAS[0], rel=0.01)
         assert state.areas[1] == pytest.approx(OPTIMUM_AREAS[1], rel=0.01)
         assert state.weight == pytest.approx(OPTIMUM_WEIGHT, rel=0.005)
-        assert counts["objective"] > 0 and counts["constraint"] > 0
+        assert counts == {"objective": 0, "constraint": 0}
 
     def test_from_upper_bound_start(self):
         state, _ = optimize_truss(
@@ -142,8 +144,10 @@ class TestOptimize:
         assert state.areas[1] == pytest.approx(OPTIMUM_AREAS[1], rel=0.01)
 
     def test_lower_bound_active(self):
-        state, _ = optimize_truss(self.problem, [0.0037, 0.0049])
-        assert state.areas[0] == pytest.approx(self.problem.area_min, rel=1e-4)
+        state, _ = optimize_truss(self.problem)
+        assert state.areas[0] == self.problem.area_min
+        assert state.areas[1] == pytest.approx(4.819155229192e-3, rel=1e-12)
+        assert state.weight == pytest.approx(2598.70, abs=0.005)
 
     def test_unbounded_displacement_gives_minimum_areas(self):
         p = example_problem()
@@ -151,12 +155,11 @@ class TestOptimize:
             E=p.E, rho=p.rho, L=p.L, P=p.P, d_max=math.inf,
             sigma_max=p.sigma_max, area_min=p.area_min, area_max=p.area_max,
         )
-        state, _ = optimize_truss(free, [0.01, 0.01])
-        assert state.areas[0] == pytest.approx(free.area_min, rel=1e-6)
-        assert state.areas[1] == pytest.approx(free.area_min, rel=1e-6)
+        state, _ = optimize_truss(free)
+        assert state.areas == (free.area_min, free.area_min)
 
     def test_grid_sweep_confirms_optimum(self):
-        state, _ = optimize_truss(self.problem, [0.0037, 0.0049])
+        state, _ = optimize_truss(self.problem)
         _, grid_weight = grid_sweep(self.problem, n=200)
         assert grid_weight >= state.weight * (1.0 - 0.002)
 
@@ -171,8 +174,6 @@ class TestProblemDefinition:
             )
 
     def test_config_round_trip(self, tmp_path):
-        import json
-
         p = example_problem()
         cfg = {
             "E": p.E, "rho": p.rho, "L": p.L, "P": p.P,
@@ -182,6 +183,99 @@ class TestProblemDefinition:
         }
         path = tmp_path / "truss.cfg"
         path.write_text(json.dumps(cfg))
-        problem, x0 = load_problem(path)
-        assert problem == p
-        assert x0 == [0.0037, 0.0049]
+        assert load_problem(path) == p
+
+    @pytest.mark.parametrize("name", ["E", "rho", "L", "P", "d_max", "sigma_max", "area_min", "area_max"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            replace(example_problem(), **{name: math.nan})
+
+    def test_area_bounds_ordered(self):
+        p = example_problem()
+        with pytest.raises(ValueError, match="exceeds area_max"):
+            replace(p, area_max=0.9 * p.area_min)
+
+    def test_only_limits_may_be_infinite(self):
+        p = example_problem()
+        assert replace(p, d_max=math.inf, sigma_max=math.inf).d_max == math.inf
+        with pytest.raises(ValueError, match="E must be finite"):
+            replace(p, E=math.inf)
+
+
+# Feasible problems on which an SLSQP set-up raised NoConvergence, each with
+# the start point it failed from (perfbench/NOTES.md).
+NOTES_REPRODUCERS = [
+    (example_problem(), [0.003953860923233307, 0.004329844680039607]),
+    (
+        TrussProblem(
+            E=75210587292.64258, rho=2756.9725643244583, L=9.298961320122343,
+            P=462086.0126755321, d_max=0.059804125089265255,
+            sigma_max=180148984.6709763, area_min=0.0036274881443388255,
+            area_max=0.0225806,
+        ),
+        [0.005247426180536883, 0.0046636900391092435],
+    ),
+]
+
+
+def assert_optimal(problem, state):
+    """Feasible to 1e-9 d_max, inside the bounds, and not undercut by the grid."""
+    assert np.all(evaluate_constraints(state, problem) <= 1e-9 * problem.d_max)
+    assert all(problem.area_min <= a <= problem.area_max for a in state.areas)
+    _, grid_weight = grid_sweep(problem, n=200)
+    assert grid_weight >= state.weight * (1.0 - 1e-12)
+
+
+def limit_c(problem):
+    """c = E*d_max/(P*L): the bound on 1/A1 + 2*sqrt(2)/A2."""
+    return problem.E * problem.d_max / (problem.P * problem.L)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("problem, x0", NOTES_REPRODUCERS, ids=["example", "perturbed"])
+    def test_notes_reproducers(self, problem, x0):
+        state, _ = optimize_truss(problem, x0)
+        assert_optimal(problem, state)
+
+    def test_interior(self):
+        p = replace(example_problem(), d_max=0.03)
+        state, _ = optimize_truss(p)
+        a1, a2 = state.areas
+        assert p.area_min < a1 and a2 < p.area_max
+        assert a1 == pytest.approx(3.0 / limit_c(p), rel=1e-12)
+        assert a2 == pytest.approx(SQRT2 * a1, rel=1e-12)
+        assert_optimal(p, state)
+
+    def test_a2_at_area_max(self):
+        p = replace(example_problem(), d_max=0.035, area_max=0.007)
+        state, _ = optimize_truss(p)
+        c = limit_c(p)
+        assert state.areas[1] == pytest.approx(p.area_max, rel=1e-12)
+        assert state.areas[0] == pytest.approx(1.0 / (c - 2.0 * SQRT2 / p.area_max), rel=1e-12)
+        assert state.areas[0] > 3.0 / c
+        assert_optimal(p, state)
+
+    def test_infeasible(self):
+        p = replace(example_problem(), d_max=0.001)
+        with pytest.raises(Infeasible):
+            optimize_truss(p)
+        with pytest.raises(Infeasible):
+            grid_sweep(p, n=200)
+
+    def test_perturbed_problems(self):
+        base = example_problem()
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            f = rng.uniform(0.8, 1.2, size=4)
+            p = replace(
+                base, E=base.E * f[0], rho=base.rho * f[1], L=base.L * f[2],
+                d_max=base.d_max * f[3],
+            )
+            state, _ = optimize_truss(p)
+            assert_optimal(p, state)
+
+    def test_start_point_ignored(self):
+        p = example_problem()
+        a, _ = optimize_truss(p, [0.0037, 0.0049])
+        b, _ = optimize_truss(p, [p.area_max, p.area_max])
+        assert a == b == optimize_truss(p)[0]

@@ -1,4 +1,4 @@
-"""Codec for the ASCII sequential-record results file format.
+r"""Codec for the ASCII sequential-record results file format.
 
 The file is a sequence of 80-character physical lines.  Logical records are
 laid out back to back in the concatenated character stream; each record starts
@@ -6,13 +6,19 @@ with an asterisk and consists of data items: the item count L, the record type
 key, and L-2 attribute items.  A record may span line boundaries, splitting
 anywhere, even mid-token.
 
-Three data-item encodings exist:
+The item grammar, which the decoder matches and the encoder writes:
 
-* integer   -- ``I`` + 2-char width field + the digits (a leading minus sign
-  counts as a digit position),
-* float     -- ``D`` + 22-char scientific form (``E`` or ``D`` exponent marker
-  accepted on decode; ``E`` always emitted),
-* string    -- ``A`` + exactly 8 characters, blank-padded on the right.
+* integer -- ``I``, a width field of 1-99 right-aligned in 2 characters, then
+  exactly that many characters of ``0|-?[1-9][0-9]*`` (the digits ``str(int)``
+  writes: no sign on positives, no leading zeros, no ``-0``),
+* float   -- ``D`` and 22 characters of right-aligned ASCII scientific form,
+  `` *-?[0-9]\.[0-9]+[ED][-+][0-9]{2,3}`` (``E`` always emitted),
+* string  -- ``A`` and exactly 8 characters, blank-padded on the right.
+
+A record is ``*``, an integer item count >= 2, an integer key >= 0, then the
+attribute items.  Anything else raises a positioned :class:`FilCodecError`
+subclass.  Non-finite floats are rejected both ways: the encoder refuses NaN
+and infinity, and the decoder refuses a field that overflows a double.
 
 Precision: a float item carries 16 significant digits (15 when a negative
 value has a 3-digit exponent), so encode -> decode returns a double within
@@ -20,8 +26,8 @@ value has a 3-digit exponent), so encode -> decode returns a double within
 encoder wrote reproduces it byte for byte; a 16-digit field from another
 producer need not (about 9% of arbitrary ones re-encode with a different last
 digit).  The six largest-magnitude doubles (two positive, four negative) are
-the exception to both: they round up past the largest double and decode to
-infinity.  NaN and infinity encode as ``NAN`` and ``INF``.
+written rounded toward zero, since rounding to nearest would carry them past
+the largest double.
 
 Decoded attribute values are plain Python ``int``, ``float`` and 8-character
 ``str`` objects.  A :class:`LogicalRecord` stores only its key and attributes;
@@ -31,7 +37,9 @@ with the item count it encodes to.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from math import isfinite
 
 from ._base import FempostError
 
@@ -40,6 +48,7 @@ __all__ = [
     "FilCodecError",
     "UnknownItemMarker",
     "MalformedWidth",
+    "MalformedInteger",
     "MalformedFloat",
     "TruncatedItem",
     "BadRecordHeader",
@@ -77,8 +86,12 @@ class MalformedWidth(FilCodecError):
     """Integer width field is not a 1-99 integer."""
 
 
+class MalformedInteger(FilCodecError):
+    """Integer digits are not exactly the announced width of canonical digits."""
+
+
 class MalformedFloat(FilCodecError):
-    """22-character float field does not parse."""
+    """22-character float field is outside the grammar or overflows a double."""
 
 
 class TruncatedItem(FilCodecError):
@@ -140,120 +153,96 @@ def fil_to_string(file_path) -> str:
     return raw.replace("\r", "").replace("\n", "")
 
 
+#: Integer width fields, " 1" to "99" as ``%2d`` writes them, and their values.
+_WIDTHS = {"%2d" % width: width for width in range(1, 100)}
+#: Integer item: ``I``, a width field, then exactly that many characters of
+#: ``0|-?[1-9][0-9]*``.  A width of 1 takes any digit; a wider value opens with
+#: a nonzero digit, or a minus sign and one.
+_INTEGER = r"I(?: 1[0-9]|(?=..-?[1-9])(?:%s))" % "|".join(
+    f"{field}[-1-9][0-9]{{{width - 1}}}" for field, width in _WIDTHS.items() if width > 1
+)
+#: Float item: ``D`` and 22 characters of `` *-?[0-9]\.[0-9]+[ED][-+][0-9]{2,3}``.
+#: The lookahead checks the mantissa up to the first E or D; the counted runs
+#: put that marker where a 2- or 3-digit exponent ends the field.
+_FLOAT = r"D((?= *-?[0-9]\.[0-9]+[ED])(?:[^ED]{18}[ED][-+][0-9]{2}|[^ED]{17}[ED][-+][0-9]{3}))"
+_ITEM = re.compile(f"({_INTEGER})|{_FLOAT}|A(.{{8}})", re.DOTALL)
+#: Record header: ``*``, an item count >= 2, then a key >= 0.
+_HEADER = re.compile(rf"\*(?!I 1[01]|I..-)({_INTEGER})(?!I..-)({_INTEGER})")
+#: Size of the item a marker opens, and the error when it fails the grammar;
+#: an integer with a valid width field is sized by it instead.
+_SHAPES = {"I": (3, MalformedWidth), "D": (23, MalformedFloat), "A": (9, TruncatedItem)}
+
+
+def _value(match: re.Match):
+    """Value of a matched item; a float must fit a double."""
+    kind = match.lastindex
+    if kind == 1:
+        return int(match[1][3:])
+    if kind == 3:
+        return match[3]
+    value = float(match[2].replace("D", "E"))
+    if isfinite(value):
+        return value
+    raise MalformedFloat(f"float field {match[2]!r} overflows a double", match.start())
+
+
+def _item_error(stream: str, position: int) -> FilCodecError:
+    """Say why the item at *position* does not match the grammar."""
+    marker = stream[position : position + 1]
+    size, error = _SHAPES.get(marker, (1, UnknownItemMarker))
+    width = _WIDTHS.get(stream[position + 1 : position + 3])
+    if marker == "I" and width:
+        size, error = 3 + width, MalformedInteger
+    if position + size > len(stream):
+        return TruncatedItem("stream ends inside a data item", position)
+    return error(f"data item {stream[position : position + size]!r} is malformed", position)
+
+
 def decode_item(stream: str, position: int):
     """Decode one data item at *position*; return ``(value, next_position)``."""
-    n = len(stream)
-    if position >= n:
-        raise TruncatedItem("stream ends where an item marker is expected", position)
-    marker = stream[position]
-    if marker == "I":
-        if position + 3 > n:
-            raise TruncatedItem("stream ends inside an integer width field", position)
-        wfield = stream[position + 1 : position + 3]
-        try:
-            width = int(wfield)
-        except ValueError:
-            raise MalformedWidth(f"bad integer width field {wfield!r}", position) from None
-        if not 1 <= width <= 99:
-            raise MalformedWidth(f"integer width {width} outside 1-99", position)
-        end = position + 3 + width
-        if end > n:
-            raise TruncatedItem("stream ends inside an integer value", position)
-        digits = stream[position + 3 : end]
-        try:
-            value = int(digits)
-        except ValueError:
-            raise MalformedWidth(f"bad integer digits {digits!r}", position) from None
-        return value, end
-    if marker == "D":
-        end = position + 23
-        if end > n:
-            raise TruncatedItem("stream ends inside a float item", position)
-        text = stream[position + 1 : end]
-        try:
-            value = float(text.replace("D", "E").replace("d", "e"))
-        except ValueError:
-            raise MalformedFloat(f"bad float field {text!r}", position) from None
-        return value, end
-    if marker == "A":
-        end = position + 9
-        if end > n:
-            raise TruncatedItem("stream ends inside a string item", position)
-        return stream[position + 1 : end], end
-    raise UnknownItemMarker(f"unknown item marker {marker!r}", position)
-
-
-def _decode_record(flat: str, position: int):
-    """Decode the record whose asterisk sits at *position*."""
-    start = position
-    try:
-        length, pos = decode_item(flat, position + 1)
-    except FilCodecError as exc:
-        raise BadRecordHeader(f"record length item unreadable: {exc}", start) from exc
-    if not isinstance(length, int):
-        raise BadRecordHeader("record length item is not an integer", start)
-    if length < 2:
-        raise BadRecordHeader(f"record length {length} < 2", start)
-    try:
-        key, pos = decode_item(flat, pos)
-    except FilCodecError as exc:
-        raise BadRecordHeader(f"record key item unreadable: {exc}", start) from exc
-    if not isinstance(key, int):
-        raise BadRecordHeader("record key item is not an integer", start)
-    if key < 0:
-        raise BadRecordHeader(f"record key {key} < 0", start)
-    attributes = []
-    for _ in range(length - 2):
-        try:
-            value, pos = decode_item(flat, pos)
-        except TruncatedItem as exc:
-            raise AttributeUnderrun(
-                f"record at offset {start} declares {length - 2} attributes "
-                f"but the stream ends after {len(attributes)}",
-                start,
-            ) from exc
-        attributes.append(value)
-    return LogicalRecord(key=key, attributes=tuple(attributes)), pos
+    match = _ITEM.match(stream, position)
+    if match is None:
+        raise _item_error(stream, position)
+    return _value(match), match.end()
 
 
 def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
     """Decode a flat (line-break-free) character stream into logical records.
 
-    Trailing blank padding is ignored.  A garbled record raises a positioned
-    :class:`FilCodecError` subclass; with ``lenient=True`` the decoder instead
-    drops the record and resynchronizes on the next asterisk.
+    Blank padding after the last record is ignored.  A garbled record raises a
+    positioned :class:`FilCodecError` subclass; with ``lenient=True`` the
+    decoder instead drops the record and resynchronizes on the next asterisk.
     """
     if "\n" in flat or "\r" in flat:
         raise FilCodecError("flat stream must not contain line breaks")
+    header, item = _HEADER.match, _ITEM.match
     records: list[LogicalRecord] = []
-    pos = 0
-    n = len(flat)
-    while pos < n:
-        c = flat[pos]
-        if c == "*":
-            try:
-                record, pos = _decode_record(flat, pos)
-            except FilCodecError:
-                if not lenient:
-                    raise
-                nxt = flat.find("*", pos + 1)
-                if nxt < 0:
-                    break
-                pos = nxt
-                continue
-            records.append(record)
-        elif c == " ":
-            if flat[pos:].strip() == "":
-                break  # trailing padding of the final physical line
-            raise BadRecordHeader("blank run before end of stream", pos)
-        else:
-            if lenient:
-                nxt = flat.find("*", pos)
-                if nxt < 0:
-                    break
-                pos = nxt
-                continue
-            raise BadRecordHeader(f"expected '*' at record start, found {c!r}", pos)
+    pos, padding = 0, len(flat.rstrip(" "))  # where the final line's blank padding starts
+    while pos < padding:
+        try:
+            head = header(flat, pos)
+            if head is None:
+                raise BadRecordHeader(f"no record header at {flat[pos : pos + 12]!r}", pos)
+            end, count = head.end(), int(head[1][3:]) - 2
+            attributes = []
+            for _ in range(count):
+                match = item(flat, end)
+                if match is None:
+                    error = _item_error(flat, end)
+                    if isinstance(error, TruncatedItem):
+                        error = AttributeUnderrun(f"stream ends inside {count} attributes", pos)
+                    raise error
+                attributes.append(_value(match))
+                end = match.end()
+        except FilCodecError:
+            if not lenient:
+                raise
+            pos = flat.find("*", pos + 1)
+            if pos < 0:
+                break
+            continue
+        records.append(LogicalRecord(key=int(head[2][3:]), attributes=tuple(attributes)))
+        pos = end
     return records
 
 
@@ -268,13 +257,22 @@ def _encode_int(value) -> str:
     return _INT_PREFIX[width] + digits
 
 
+#: Largest magnitude whose float item, rounded to nearest, stays finite.
+_FLOAT_MAX = 1.797693134862315e308
+
+
 def _encode_float(value) -> str:
-    text = "D%22.15E" % value
-    if len(text) == 23:
-        return text
-    # a sign and a 3-digit exponent overflow the 22-character field by one;
-    # one fractional digit fewer always fits
-    return "D%22.14E" % value
+    if abs(value) <= _FLOAT_MAX:
+        text = "D%22.15E" % value
+        if len(text) == 23:
+            return text
+        # a sign and a 3-digit exponent overflow the 22-character field by one;
+        # one fractional digit fewer always fits
+        return "D%22.14E" % value
+    if not isfinite(value):
+        raise FilCodecError(f"cannot encode {value!r} as a data item")
+    # rounding to nearest would carry the largest doubles past the largest double
+    return "D1.797693134862315E+308" if value > 0 else "D-1.79769313486231E+308"
 
 
 def _encode_str(value) -> str:

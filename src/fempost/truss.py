@@ -70,6 +70,8 @@ class TrussProblem:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{field.name} must be a number, got {value!r}")
             if not value > 0:  # also rejects NaN
                 raise ValueError(f"{field.name} must be positive, got {value}")
             if value == math.inf and field.name not in ("d_max", "sigma_max"):

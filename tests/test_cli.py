@@ -104,6 +104,13 @@ class TestDomainErrors:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
+    def test_item_error_carries_offset(self, capsys, tmp_path):
+        fil = tmp_path / "bad_digits.fil"
+        fil.write_text("*I 13I 11I 31_0\n")
+        code, _, err = run_cli(capsys, "decode", str(fil))
+        assert code == 2
+        assert err.startswith("error: ") and "(stream offset 9)" in err
+
     def test_output_file_closed_on_error(self, capsys, tmp_path):
         from fempost.filcodec import LogicalRecord, write_fil
 

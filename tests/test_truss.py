@@ -190,6 +190,11 @@ class TestProblemDefinition:
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
             replace(example_problem(), **{name: math.nan})
 
+    @pytest.mark.parametrize("value", ["1e9", None, True], ids=repr)
+    def test_non_numeric_rejected(self, value):
+        with pytest.raises(ValueError, match="^E must be a number"):
+            replace(example_problem(), E=value)
+
     def test_area_bounds_ordered(self):
         p = example_problem()
         with pytest.raises(ValueError, match="exceeds area_max"):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 
@@ -102,10 +103,11 @@ def cmd_synth(args) -> int:
     recs += records.stress_records(stress_rows)
 
     text = filcodec.encode_stream(recs)
+    text += "\n" if text else ""
     if args.output in (None, "-"):
-        sys.stdout.write(text + ("\n" if text else ""))
+        sys.stdout.write(text)
     else:
-        filcodec.write_fil(recs, args.output)
+        Path(args.output).write_text(text, newline="")
     return 0
 
 

@@ -8,9 +8,9 @@ cohesive energy Gamma_c, related through the critical separation:
 The identification loop samples a handful of (Tc, Gamma_c) pairs, runs the
 forward model to obtain load-CMOD response curves, trains a surrogate mapping
 parameters to curves, minimizes the surrogate-vs-target mismatch over the
-parameter box (one grid scan, then one local descent), verifies the optimum
-with a real forward run, and feeds the verification pair back into the
-training set until the verified mismatch drops below tolerance.
+parameter box (three nested grid scans), verifies the optimum with a real
+forward run, and feeds the verification pair back into the training set until
+the verified mismatch drops below tolerance.
 
 The built-in forward model is a desk-scale closed-form stand-in for the
 cohesive finite element simulation; any callable with the same signature can
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RBFInterpolator
-from scipy.optimize import minimize
 
 from ._base import FempostError, NoConvergence, read_csv
 
@@ -49,6 +48,10 @@ N_POINTS = 12
 
 #: Points per side of the grid on which the surrogate mismatch is scanned.
 SEARCH_GRID = 41
+
+#: Nested scans per search; each rescans the +-1-cell neighbourhood of the
+#: previous best point, so the last step is 1/16,000 of the box per axis.
+SEARCH_LEVELS = 3
 
 #: Outer iterations without a 1% verified improvement before giving up.
 STALL_LIMIT = 3
@@ -124,6 +127,8 @@ class ResponseCurve:
         load = np.asarray(self.load, dtype=float)
         if cmod.shape != (N_POINTS,) or load.shape != (N_POINTS,):
             raise ValueError(f"response curves carry exactly {N_POINTS} points")
+        if not np.isfinite([cmod, load]).all():
+            raise ValueError("CMOD and load values must be finite")
         if np.any(np.diff(cmod) <= 0):
             raise ValueError("CMOD values must be strictly increasing")
         if np.any(load < 0):
@@ -242,21 +247,17 @@ def _initial_design(box) -> list:
 
 
 def _minimize_surrogate(model: SurrogateModel, target: ResponseCurve, box) -> TSLParams:
-    """Grid scan of the surrogate mismatch over the box, then one bounded
-    local descent from the best grid point."""
-    (t_lo, t_hi), (g_lo, g_hi) = box
-    tc, gc = np.meshgrid(
-        np.linspace(t_lo, t_hi, SEARCH_GRID), np.linspace(g_lo, g_hi, SEARCH_GRID)
-    )
-    grid = np.column_stack([tc.ravel(), gc.ravel()])
-    sq_error = np.mean((model.predict(grid) - target.load) ** 2, axis=1)
-    res = minimize(
-        lambda x: curve_mismatch(model.predict(x), target),
-        grid[np.argmin(sq_error)],
-        method="L-BFGS-B",
-        bounds=box,
-    )
-    return TSLParams(float(res.x[0]), float(res.x[1]))
+    """Nested grid scan of the surrogate mismatch: scan the box, then rescan
+    the +-1-cell neighbourhood of the best point, clipped to the box."""
+    box_lo, box_hi = lo, hi = np.array(box, dtype=float).T
+    for _ in range(SEARCH_LEVELS):
+        tc, gc = np.meshgrid(*np.linspace(lo, hi, SEARCH_GRID).T)
+        grid = np.column_stack([tc.ravel(), gc.ravel()])
+        sq_error = np.mean((model.predict(grid) - target.load) ** 2, axis=1)
+        best = grid[np.argmin(sq_error)]
+        step = (hi - lo) / (SEARCH_GRID - 1)
+        lo, hi = np.maximum(best - step, box_lo), np.minimum(best + step, box_hi)
+    return TSLParams(float(best[0]), float(best[1]))
 
 
 def _known_curve(samples, params: TSLParams):
@@ -351,11 +352,17 @@ def inverse_identify(
 
 
 def load_target_csv(path, config: ForwardConfig = ForwardConfig()) -> ResponseCurve:
-    """Read a (CMOD, load) curve from comma-separated text and resample it
-    onto the 12 common abscissae by linear interpolation."""
+    """Read a (CMOD, load) curve from comma-separated text, reject non-finite
+    values and repeated CMOD values, and resample it onto the 12 common
+    abscissae by linear interpolation."""
     table = read_csv(path)
     if table.shape[1] != 2:
         raise ValueError(f"expected 2 columns (cmod,load), got {table.shape[1]}")
-    v, p = table[np.lexsort(table.T[::-1])].T
+    if not np.all(np.isfinite(table)):
+        raise ValueError("CMOD and load values must be finite")
+    v, p = table[np.argsort(table[:, 0])].T
+    repeated = np.flatnonzero(v[1:] == v[:-1])
+    if repeated.size:
+        raise ValueError(f"CMOD value {float(v[repeated[0]])} repeated")
     grid = _cmod_grid(config)
     return ResponseCurve(cmod=grid, load=np.interp(grid, v, p))

@@ -181,17 +181,16 @@ def grid_sweep(problem: TrussProblem, n: int = 200):
     may undercut its result by more than the grid resolution allows.
     """
     areas = np.linspace(problem.area_min, problem.area_max, n)
-    a1g, a2g = np.meshgrid(areas, areas, indexing="ij")
+    a1, a2 = areas[:, None], areas[None, :]
     coef = problem.P * problem.L / problem.E
-    uy_mag = coef * (1.0 / a1g + 2.0 * SQRT2 / a2g)
-    ux_mag = coef / a1g
-    feasible = (uy_mag <= problem.d_max) & (ux_mag <= problem.d_max)
+    uy_mag = coef * (1.0 / a1 + 2.0 * SQRT2 / a2)
+    feasible = (uy_mag <= problem.d_max) & (coef / a1 <= problem.d_max)
     if not feasible.any():
         raise Infeasible("no feasible point on the grid")
-    weight = G_ACCEL * problem.rho * problem.L * (a1g + SQRT2 * a2g)
+    weight = G_ACCEL * problem.rho * problem.L * (a1 + SQRT2 * a2)
     weight = np.where(feasible, weight, np.inf)
-    idx = np.unravel_index(np.argmin(weight), weight.shape)
-    return (float(a1g[idx]), float(a2g[idx])), float(weight[idx])
+    i, j = np.unravel_index(np.argmin(weight), weight.shape)
+    return (float(areas[i]), float(areas[j])), float(weight[i, j])
 
 
 def example_problem() -> TrussProblem:

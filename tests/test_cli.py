@@ -152,6 +152,25 @@ class TestSynthDecode:
         run_cli(capsys, "synth", "--nodes", "12", "--seed", "7", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_file_output_matches_stdout_and_encodes_once(self, capsys, monkeypatch, tmp_path):
+        from fempost import filcodec
+
+        calls = []
+        encode_record = filcodec.encode_record
+
+        def counting_encode_record(record):
+            calls.append(record)
+            return encode_record(record)
+
+        monkeypatch.setattr(filcodec, "encode_record", counting_encode_record)
+        fil = tmp_path / "synth.fil"
+        code, _, _ = run_cli(capsys, "synth", "--nodes", "12", "--seed", "7", "-o", str(fil))
+        assert code == 0
+        n_records = len(filcodec.decode_stream(filcodec.fil_to_string(fil)))
+        assert len(calls) == n_records
+        _, out, _ = run_cli(capsys, "synth", "--nodes", "12", "--seed", "7")
+        assert fil.read_bytes() == out.encode("ascii")
+
     def test_different_seed_differs(self, capsys, tmp_path):
         a, b = tmp_path / "a.fil", tmp_path / "b.fil"
         run_cli(capsys, "synth", "--seed", "1", "-o", str(a))

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from fempost.czm import (
+    SEARCH_GRID,
     BoxTooSmall,
     DuplicateInputs,
     ForwardConfig,
@@ -16,6 +20,8 @@ from fempost.czm import (
     inverse_identify,
     load_target_csv,
     train_surrogate,
+    _initial_design,
+    _minimize_surrogate,
 )
 
 BOX = ((100.0, 300.0), (20.0, 100.0))
@@ -90,17 +96,18 @@ class TestForwardModel:
             ResponseCurve(cmod=curve.cmod[:5], load=curve.load[:5])
 
 
-class TestSurrogate:
-    def grid_samples(self, n_side=4):
-        samples = []
-        for tc in np.linspace(*BOX[0], n_side):
-            for gc in np.linspace(*BOX[1], n_side):
-                p = TSLParams(float(tc), float(gc))
-                samples.append((p, forward_model(p)))
-        return samples
+def grid_samples(n_side=4):
+    samples = []
+    for tc in np.linspace(*BOX[0], n_side):
+        for gc in np.linspace(*BOX[1], n_side):
+            p = TSLParams(float(tc), float(gc))
+            samples.append((p, forward_model(p)))
+    return samples
 
+
+class TestSurrogate:
     def test_interpolant_exact_at_training_points(self):
-        samples = self.grid_samples()
+        samples = grid_samples()
         model = train_surrogate(samples, kind="interpolant")
         for params, curve in samples:
             assert np.max(np.abs(model.predict(params) - curve.load)) < 1e-8
@@ -110,8 +117,6 @@ class TestSurrogate:
             assert np.allclose(row, model.predict(params), rtol=0, atol=1e-9)
 
     def test_five_point_design_defined_everywhere(self):
-        from fempost.czm import _initial_design
-
         design = _initial_design(BOX)
         assert len(design) == 5
         samples = [(p, forward_model(p)) for p in design]
@@ -124,7 +129,7 @@ class TestSurrogate:
             assert np.all(np.isfinite(pred))
 
     def test_leave_one_out_error(self):
-        samples = self.grid_samples(5)  # 25 samples over the box
+        samples = grid_samples(5)  # 25 samples over the box
         errors = []
         for i in range(0, len(samples), 3):
             held_params, held_curve = samples[i]
@@ -143,11 +148,68 @@ class TestSurrogate:
             train_surrogate([(p, c), (p, c), (TSLParams(150.0, 40.0), c)])
 
     def test_network_kind_trains(self):
-        samples = self.grid_samples()
+        samples = grid_samples()
         model = train_surrogate(samples, kind="network", seed=3)
         params, curve = samples[5]
         rel = np.sqrt(np.mean((model.predict(params) - curve.load) ** 2)) / curve.peak_load
         assert rel < 0.1
+
+
+class TestSurrogateSearch:
+    """The nested grid scan behind each outer iteration's surrogate optimum."""
+
+    def test_matches_local_descent_reference(self):
+        lo, hi = np.array(BOX).T
+        worst = -np.inf
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            design = _initial_design(BOX) + [
+                TSLParams(*rng.uniform(lo, hi)) for _ in range(rng.integers(0, 6))
+            ]
+            model = train_surrogate([(p, forward_model(p)) for p in design])
+            target = forward_model(TSLParams(*rng.uniform(lo, hi)))
+
+            def mismatch(x):
+                return curve_mismatch(model.predict(x), target)
+
+            tc, gc = np.meshgrid(*np.linspace(lo, hi, SEARCH_GRID).T)
+            grid = np.column_stack([tc.ravel(), gc.ravel()])
+            start = grid[np.argmin([curve_mismatch(y, target) for y in model.predict(grid)])]
+            reference = minimize(mismatch, start, method="L-BFGS-B", bounds=BOX)
+            found = _minimize_surrogate(model, target, BOX)
+            worst = max(worst, mismatch((found.Tc, found.Gamma_c)) - reference.fun)
+        assert worst <= 1e-3
+
+    @pytest.mark.parametrize(
+        "true, edge",
+        [
+            ((350.0, 60.0), {"Tc": 300.0}),
+            ((80.0, 60.0), {"Tc": 100.0}),
+            ((200.0, 110.0), {"Gamma_c": 100.0}),
+            ((200.0, 10.0), {"Gamma_c": 20.0}),
+            ((400.0, 130.0), {"Tc": 300.0, "Gamma_c": 100.0}),
+        ],
+    )
+    def test_best_fit_on_box_edge(self, true, edge):
+        model = train_surrogate(grid_samples())
+        found = _minimize_surrogate(model, forward_model(TSLParams(*true)), BOX)
+        assert BOX[0][0] <= found.Tc <= BOX[0][1]
+        assert BOX[1][0] <= found.Gamma_c <= BOX[1][1]
+        for name, value in edge.items():
+            assert getattr(found, name) == value
+
+    def test_one_predict_call_per_scan(self, monkeypatch):
+        model = train_surrogate(grid_samples())
+        calls = []
+        predict = model.predict
+
+        def counting_predict(params):
+            calls.append(np.shape(params))
+            return predict(params)
+
+        monkeypatch.setattr(model, "predict", counting_predict)
+        _minimize_surrogate(model, forward_model(TSLParams(237.0, 47.0)), BOX)
+        assert calls == [(SEARCH_GRID * SEARCH_GRID, 2)] * 3
 
 
 class TestInverseIdentify:
@@ -232,4 +294,35 @@ class TestTargetIngestion:
         path = tmp_path / "target.csv"
         path.write_text(f"cmod,load\n{row}\n")
         with pytest.raises(ValueError):
+            load_target_csv(path)
+
+    def write_curve(self, path, rows):
+        path.write_text("cmod,load\n" + "".join(f"{float(v)!r},{float(p)!r}\n" for v, p in rows))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_value_rejected(self, tmp_path, cell, column):
+        curve = forward_model(TSLParams(200.0, 60.0))
+        rows = [list(r) for r in zip(curve.cmod, curve.load)]
+        rows[5][column] = float(cell)
+        path = tmp_path / "target.csv"
+        self.write_curve(path, rows)
+        with pytest.raises(ValueError, match="finite"):
+            load_target_csv(path)
+
+    @pytest.mark.parametrize("column", ["cmod", "load"])
+    def test_non_finite_curve_rejected(self, column):
+        curve = forward_model(TSLParams(200.0, 60.0))
+        values = {"cmod": curve.cmod.copy(), "load": curve.load.copy()}
+        values[column][-1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ResponseCurve(**values)
+
+    def test_repeated_cmod_rejected(self, tmp_path):
+        curve = forward_model(TSLParams(200.0, 60.0))
+        rows = list(zip(curve.cmod, curve.load))
+        rows.append((curve.cmod[3], 5.0 * curve.load[3]))
+        path = tmp_path / "target.csv"
+        self.write_curve(path, rows)
+        with pytest.raises(ValueError, match=re.escape(f"CMOD value {float(curve.cmod[3])!r} repeated")):
             load_target_csv(path)

@@ -1,7 +1,10 @@
-"""Plumbing shared by every fempost module: the error base and the CSV reader."""
+"""Plumbing shared by every fempost module: the error base, the numeric
+input check and the CSV reader."""
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 
 import numpy as np
@@ -13,6 +16,18 @@ class FempostError(Exception):
 
 class NoConvergence(FempostError, RuntimeError):
     """An iterative solver or optimizer exhausted its budget."""
+
+
+def check_number(name, value, *, zero=False, inf=False, error=ValueError):
+    """Raise *error* unless *value* is a real number, not a bool, that is
+    positive (non-negative with *zero*) and finite (+inf too with *inf*).
+    Every comparison is written so that NaN fails it."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value!r}")
+    if not (value >= 0 if zero else value > 0):
+        raise error(f"{name} must be {'non-negative' if zero else 'positive'}, got {value}")
+    if value == math.inf and not inf:
+        raise error(f"{name} must be finite")
 
 
 def read_csv(path, usecols=None) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import czm, filcodec, gridio, jobs, records, truss, weibull
-from ._base import FempostError, read_csv
+from ._base import FempostError, check_number, read_csv
 
 DEFAULT_SEED = 1234
 
@@ -74,6 +74,8 @@ def cmd_extract(args) -> int:
 
 def cmd_synth(args) -> int:
     """Generate a seeded fixture results file: node grid, elements, fields."""
+    check_number("--nodes", args.nodes, zero=True)
+    check_number("--elements", args.elements, zero=True)
     rng = np.random.default_rng(args.seed)
     side = max(int(np.ceil(np.sqrt(args.nodes))), 1)
     node_rows = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import RBFInterpolator
 
-from ._base import FempostError, NoConvergence, read_csv
+from ._base import FempostError, NoConvergence, check_number, read_csv
 
 __all__ = [
     "TSLParams",
@@ -77,26 +77,24 @@ class TSLParams:
     Gamma_c: float
 
     def __post_init__(self):
-        if self.Tc <= 0 or self.Gamma_c <= 0:
-            raise NonPositiveInput(f"Tc and Gamma_c must be positive: {self}")
+        check_number("Tc", self.Tc, error=NonPositiveInput)
+        check_number("Gamma_c", self.Gamma_c, error=NonPositiveInput)
 
     @property
     def delta_c(self) -> float:
-        return delta_from(self.Tc, self.Gamma_c)
+        return 2.0 * self.Gamma_c / self.Tc
 
 
 def cohesive_energy(Tc: float, delta_c: float) -> float:
     """Cohesive energy of the bilinear law, 0.5 * Tc * delta_c."""
-    if Tc <= 0 or delta_c < 0:
-        raise NonPositiveInput(f"Tc must be > 0 and delta_c >= 0: ({Tc}, {delta_c})")
+    check_number("Tc", Tc, error=NonPositiveInput)
+    check_number("delta_c", delta_c, zero=True, error=NonPositiveInput)
     return 0.5 * Tc * delta_c
 
 
 def delta_from(Tc: float, Gamma_c: float) -> float:
     """Critical separation, inverse of :func:`cohesive_energy`."""
-    if Tc <= 0 or Gamma_c <= 0:
-        raise NonPositiveInput(f"Tc and Gamma_c must be positive: ({Tc}, {Gamma_c})")
-    return 2.0 * Gamma_c / Tc
+    return TSLParams(Tc, Gamma_c).delta_c
 
 
 @dataclass(frozen=True)
@@ -298,13 +296,17 @@ def inverse_identify(
     to the box centre before verification; *forward* is never called twice
     on the same point.
 
-    Raises :class:`BoxTooSmall` when the verified mismatch stops improving
-    while still above tolerance, and :class:`NoConvergence` when the
-    iteration budget runs out.
+    Raises ValueError when the box bounds do not increase, :class:`BoxTooSmall`
+    when the verified mismatch stalls above tolerance, and
+    :class:`NoConvergence` when the iteration budget runs out.
     """
     if np.any(target.cmod != _cmod_grid(config)):
         raise ValueError("target CMOD abscissae differ from the model window")
-    samples = [(p, forward(p, config)) for p in _initial_design(box)]
+    design = _initial_design(box)  # the corners go through TSLParams
+    (t_lo, t_hi), (g_lo, g_hi) = box
+    if not (t_lo < t_hi and g_lo < g_hi):
+        raise ValueError(f"box bounds must increase, got {box}")
+    samples = [(p, forward(p, config)) for p in design]
 
     incumbent, inc_mismatch = min(
         ((p, curve_mismatch(c.load, target)) for p, c in samples),
@@ -315,7 +317,6 @@ def inverse_identify(
         history.append(IdentificationStep(incumbent, inc_mismatch, incumbent, inc_mismatch))
         return incumbent, history
 
-    (t_lo, t_hi), (g_lo, g_hi) = box
     stall = 0
     for _ in range(max_outer):
         model = train_surrogate(samples, kind=kind, seed=seed)

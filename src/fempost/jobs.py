@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._base import FempostError
+from ._base import FempostError, check_number
 
 __all__ = [
     "JobSpec",
@@ -62,8 +62,9 @@ class JobSpec:
     cleanup_suffixes: tuple = ()     # e.g. (".com", ".prt", ".sim")
 
     def __post_init__(self):
-        if self.initial_wait < 0 or self.poll_interval <= 0:
-            raise ValueError("initial_wait must be >= 0 and poll_interval > 0")
+        check_number("initial_wait", self.initial_wait, zero=True)
+        check_number("poll_interval", self.poll_interval)
+        check_number("timeout", self.timeout, inf=True)
         if self.timeout <= self.initial_wait:
             raise ValueError("timeout must exceed initial_wait")
         object.__setattr__(self, "workdir", Path(self.workdir))
@@ -102,7 +103,8 @@ def run_job(spec: JobSpec) -> Path:
     as ``{job}.stdout`` / ``{job}.stderr`` next to the job for post-mortem.
     Cleanup suffixes are deleted after the results file is confirmed; the
     results file itself is never deleted even if listed.  The solver process
-    is always reaped; one still running at the timeout is killed.
+    is always reaped, also when the wait is interrupted; one still running at
+    the timeout is killed.
     """
     workdir = spec.workdir
     command = shlex.split(spec.command_template.format(job=spec.job_name))
@@ -116,23 +118,22 @@ def run_job(spec: JobSpec) -> Path:
     except OSError as exc:
         raise SpawnFailure(f"cannot start {command!r}: {exc}") from exc
 
-    deadline = time.monotonic() + spec.timeout
-    time.sleep(min(spec.initial_wait, spec.timeout))
-    lck = workdir / f"{spec.job_name}.lck"
-    while lck.exists():
-        if time.monotonic() >= deadline:
-            process.kill()
-            process.wait()
-            raise JobTimeout(
-                f"lock file {lck} still present after {spec.timeout} s"
-            )
-        time.sleep(spec.poll_interval)
-
-    # a solver killed here has no exit code of its own to report
     try:
-        exit_code = process.wait(timeout=max(deadline - time.monotonic(), 0.1))
-    except subprocess.TimeoutExpired:
-        exit_code = None
+        deadline = time.monotonic() + spec.timeout
+        time.sleep(spec.initial_wait)
+        lck = workdir / f"{spec.job_name}.lck"
+        while lck.exists():
+            if time.monotonic() >= deadline:
+                raise JobTimeout(f"lock file {lck} still present after {spec.timeout} s")
+            time.sleep(spec.poll_interval)
+
+        # a solver killed here has no exit code of its own to report
+        try:
+            exit_code = process.wait(timeout=max(deadline - time.monotonic(), 0.1))
+        except subprocess.TimeoutExpired:
+            exit_code = None
+    finally:
+        # kill is a no-op on a process that has already been reaped
         process.kill()
         process.wait()
     fil = workdir / f"{spec.job_name}.fil"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._base import FempostError
+from ._base import FempostError, check_number
 
 __all__ = [
     "G_ACCEL",
@@ -47,7 +47,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 class SingularStiffness(FempostError, ValueError):
-    """Stiffness matrix is singular (zero or negative area)."""
+    """A member area is not positive, so the truss has no stiffness."""
 
 
 class Infeasible(FempostError, RuntimeError):
@@ -69,13 +69,8 @@ class TrussProblem:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{field.name} must be a number, got {value!r}")
-            if not value > 0:  # also rejects NaN
-                raise ValueError(f"{field.name} must be positive, got {value}")
-            if value == math.inf and field.name not in ("d_max", "sigma_max"):
-                raise ValueError(f"{field.name} must be finite")
+            check_number(field.name, getattr(self, field.name),
+                         inf=field.name in ("d_max", "sigma_max"))
         if self.area_min > self.area_max:
             raise ValueError(f"area_min {self.area_min} exceeds area_max {self.area_max}")
         stress_bound = SQRT2 * self.P / self.sigma_max
@@ -96,37 +91,23 @@ class TrussState:
     weight: float              # [N]
 
 
+def _displacements(a1, a2, problem: TrussProblem):
+    """Free-node displacements (u_x, u_y); broadcasts over array areas."""
+    coef = problem.P * problem.L / problem.E
+    return -coef / a1, -coef * (1.0 / a1 + 2.0 * SQRT2 / a2)
+
+
 def solve_truss(areas, problem: TrussProblem) -> TrussState:
-    """Linear elastic solution of the 2-bar truss for given member areas."""
+    """Linear elastic solution of the 2-bar truss for given member areas,
+    from the closed form in the module docstring."""
     a1, a2 = float(areas[0]), float(areas[1])
-    if a1 <= 0 or a2 <= 0:
-        raise SingularStiffness(f"non-positive member area in {areas}")
-    E, L, P = problem.E, problem.L, problem.P
-
-    # member 1 along +x; member 2 along (1, -1)/sqrt(2), length sqrt(2)*L
-    k1 = E * a1 / L
-    k2 = E * a2 / (SQRT2 * L)
-    K = np.array(
-        [
-            [k1 + 0.5 * k2, -0.5 * k2],
-            [-0.5 * k2, 0.5 * k2],
-        ]
-    )
-    f = np.array([0.0, -P])
-    try:
-        u = np.linalg.solve(K, f)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStiffness(str(exc)) from exc
-    ux, uy = float(u[0]), float(u[1])
-
-    # axial forces from member elongations (tension positive)
-    n1 = k1 * ux
-    n2 = k2 * (ux - uy) / SQRT2
-
+    check_number("A1", a1, error=SingularStiffness)
+    check_number("A2", a2, error=SingularStiffness)
+    ux, uy = _displacements(a1, a2, problem)
     return TrussState(
         areas=(a1, a2),
         displacements=(ux, uy),
-        member_stresses=(n1 / a1, n2 / a2),
+        member_stresses=(-problem.P / a1, SQRT2 * problem.P / a2),
         weight=truss_weight((a1, a2), problem),
     )
 
@@ -134,8 +115,8 @@ def solve_truss(areas, problem: TrussProblem) -> TrussState:
 def truss_weight(areas, problem: TrussProblem) -> float:
     """Truss weight g*rho*L*(A1 + sqrt(2)*A2) in newtons."""
     a1, a2 = float(areas[0]), float(areas[1])
-    if a1 < 0 or a2 < 0:
-        raise ValueError("areas must be non-negative")
+    check_number("A1", a1, zero=True)
+    check_number("A2", a2, zero=True)
     return G_ACCEL * problem.rho * problem.L * (a1 + SQRT2 * a2)
 
 
@@ -182,9 +163,8 @@ def grid_sweep(problem: TrussProblem, n: int = 200):
     """
     areas = np.linspace(problem.area_min, problem.area_max, n)
     a1, a2 = areas[:, None], areas[None, :]
-    coef = problem.P * problem.L / problem.E
-    uy_mag = coef * (1.0 / a1 + 2.0 * SQRT2 / a2)
-    feasible = (uy_mag <= problem.d_max) & (coef / a1 <= problem.d_max)
+    ux, uy = _displacements(a1, a2, problem)
+    feasible = (-uy <= problem.d_max) & (-ux <= problem.d_max)
     if not feasible.any():
         raise Infeasible("no feasible point on the grid")
     weight = G_ACCEL * problem.rho * problem.L * (a1 + SQRT2 * a2)

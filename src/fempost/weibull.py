@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from ._base import FempostError, NoConvergence, read_csv
+from ._base import FempostError, NoConvergence, check_number, read_csv
 
 __all__ = [
     "WeibullParams",
@@ -69,14 +69,10 @@ class WeibullParams:
     V0: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError(f"modulus m must be positive, got {self.m}")
-        if self.sigma_u <= 0:
-            raise ValueError(f"sigma_u must be positive, got {self.sigma_u}")
-        if self.sigma_th < 0:
-            raise ValueError(f"sigma_th must be non-negative, got {self.sigma_th}")
-        if self.V0 <= 0:
-            raise ValueError(f"V0 must be positive, got {self.V0}")
+        check_number("sigma_th", self.sigma_th, zero=True)
+        check_number("m", self.m)
+        check_number("sigma_u", self.sigma_u)
+        check_number("V0", self.V0)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
-"""The shared error base and CSV reader."""
+"""The shared error base, numeric input check and CSV reader."""
 
 import importlib
+import math
 import pkgutil
 
+import numpy as np
 import pytest
 
 import fempost
 from fempost import cli, czm, truss, weibull
-from fempost._base import read_csv
+from fempost._base import check_number, read_csv
 
 
 class TestErrorHierarchy:
@@ -35,6 +37,37 @@ class TestErrorHierarchy:
 
     def test_cli_catches_three_bases(self):
         assert cli.DOMAIN_ERRORS == (fempost.FempostError, ValueError, OSError)
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value", [1, 2.5, np.int64(3), np.float32(0.5), 1e308])
+    def test_positive_finite_passes(self, value):
+        check_number("x", value)
+
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, -math.inf])
+    def test_non_positive_rejected(self, value):
+        with pytest.raises(ValueError, match="^x must be positive, got"):
+            check_number("x", value)
+
+    @pytest.mark.parametrize("value", [math.nan, -1e-300, -math.inf])
+    def test_negative_rejected_where_zero_allowed(self, value):
+        check_number("x", 0.0, zero=True)
+        with pytest.raises(ValueError, match="^x must be non-negative, got"):
+            check_number("x", value, zero=True)
+
+    def test_infinity_only_where_asked(self):
+        check_number("x", math.inf, inf=True)
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            check_number("x", math.inf)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "1.0", None, np.array(1.0), 1j])
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(ValueError, match="^x must be a number, got"):
+            check_number("x", value)
+
+    def test_error_class(self):
+        with pytest.raises(czm.NonPositiveInput):
+            check_number("x", math.nan, error=czm.NonPositiveInput)
 
 
 class TestReadCsv:

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import sys
+import time
 import warnings
 from dataclasses import asdict
 
@@ -325,6 +326,19 @@ class TestCzmIdentify:
 
 
 class TestRun:
+    def test_nan_initial_wait_starts_nothing(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "run",
+            "--command", f"{sys.executable} -c \"open('{{job}}.marker', 'w').close()\"",
+            "--job", "nanjob",
+            "--workdir", str(tmp_path),
+            "--initial-wait", "nan",
+        )
+        assert code == 2
+        assert "initial_wait must be non-negative" in err
+        time.sleep(1.0)  # long enough for a spawned interpreter to write it
+        assert not (tmp_path / "nanjob.marker").exists()
+
     def test_run_subcommand(self, capsys, stub_solver):
         code, out, _ = run_cli(
             capsys, "run",

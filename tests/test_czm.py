@@ -41,6 +41,19 @@ class TestCohesiveEnergy:
         for tc, gc in [(199.2, 61.81), (50.0, 5.0), (300.0, 100.0)]:
             assert cohesive_energy(tc, delta_from(tc, gc)) == pytest.approx(gc, rel=1e-12)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_nan_inf_and_negative_rejected(self, value):
+        with pytest.raises(NonPositiveInput):
+            TSLParams(value, 10.0)
+        with pytest.raises(NonPositiveInput):
+            TSLParams(200.0, value)
+        with pytest.raises(NonPositiveInput):
+            cohesive_energy(value, 0.5)
+        with pytest.raises(NonPositiveInput):
+            cohesive_energy(200.0, value)
+        with pytest.raises(NonPositiveInput):
+            delta_from(200.0, value)
+
     def test_non_positive_inputs(self):
         with pytest.raises(NonPositiveInput):
             cohesive_energy(-1.0, 0.5)
@@ -213,6 +226,23 @@ class TestSurrogateSearch:
 
 
 class TestInverseIdentify:
+    @pytest.mark.parametrize("corner", range(4))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_box_value_rejected_before_forward(self, corner, value):
+        calls = []
+        box = [100.0, 300.0, 20.0, 100.0]
+        box[corner] = value
+        target = forward_model(TSLParams(200.0, 60.0))
+        with pytest.raises(NonPositiveInput):
+            inverse_identify(target, (box[:2], box[2:]), forward=lambda p, c: calls.append(p))
+        assert calls == []
+
+    @pytest.mark.parametrize("box", [((300.0, 100.0), (20.0, 100.0)), ((100.0, 300.0), (50.0, 50.0))])
+    def test_box_bounds_must_increase(self, box):
+        target = forward_model(TSLParams(200.0, 60.0))
+        with pytest.raises(ValueError, match="box bounds must increase"):
+            inverse_identify(target, box, forward=pytest.fail)
+
     def test_self_consistent_recovery(self):
         target = forward_model(TSLParams(200.0, 60.0))
         params, history = inverse_identify(target, BOX, seed=0)

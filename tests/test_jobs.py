@@ -1,11 +1,14 @@
 import gc
+import math
 import os
+import subprocess
 import sys
 import time
 import warnings
 
 import pytest
 
+from fempost import jobs
 from fempost.filcodec import decode_stream, fil_to_string
 from fempost.jobs import (
     JobSpec,
@@ -134,8 +137,47 @@ class TestRunJob:
         fil = run_job(spec)
         assert fil.exists()
 
+    def test_solver_reaped_when_wait_interrupted(self, stub_solver, monkeypatch):
+        spawned, popen = [], subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        def interrupted_sleep(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(jobs.subprocess, "Popen", recording_popen)
+        monkeypatch.setattr(jobs.time, "sleep", interrupted_sleep)
+        with pytest.raises(KeyboardInterrupt):
+            run_job(make_spec(stub_solver, "job8", mode="hang"))
+        assert len(spawned) == 1
+        assert spawned[0].returncode is not None
+
     def test_spec_validation(self, tmp_path):
         with pytest.raises(ValueError):
             JobSpec("x {job}", "j", tmp_path, initial_wait=5.0, timeout=1.0)
         with pytest.raises(ValueError):
             JobSpec("x {job}", "j", tmp_path, poll_interval=0.0)
+
+
+# (field, value, accepted) for each value of the shared numeric-input contract
+SPEC_CASES = [
+    *[("initial_wait", v, ok) for v, ok in
+      [(math.nan, False), (math.inf, False), (-math.inf, False), (0.0, True), (-1.0, False), (0.2, True)]],
+    *[("poll_interval", v, ok) for v, ok in
+      [(math.nan, False), (math.inf, False), (-math.inf, False), (0.0, False), (-1.0, False), (0.2, True)]],
+    *[("timeout", v, ok) for v, ok in
+      [(math.nan, False), (math.inf, True), (-math.inf, False), (0.0, False), (-1.0, False), (5.0, True)]],
+]
+
+
+@pytest.mark.parametrize("field, value, accepted", SPEC_CASES, ids=lambda x: str(x))
+def test_spec_numbers(tmp_path, field, value, accepted):
+    kwargs = dict(initial_wait=0.1, poll_interval=0.05, timeout=1.0)
+    kwargs[field] = value
+    if accepted:
+        assert getattr(JobSpec("x {job}", "j", tmp_path, **kwargs), field) == value
+    else:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            JobSpec("x {job}", "j", tmp_path, **kwargs)

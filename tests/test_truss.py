@@ -73,6 +73,11 @@ class TestSolve:
         with pytest.raises(SingularStiffness):
             solve_truss([0.0, 0.01], self.problem)
 
+    @pytest.mark.parametrize("areas", [[0.01, -1.0], [math.nan, 0.01], [0.01, math.inf]])
+    def test_bad_area_rejected(self, areas):
+        with pytest.raises(SingularStiffness):
+            solve_truss(areas, self.problem)
+
     def test_displacements_decrease_with_area(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
@@ -93,6 +98,11 @@ class TestWeight:
 
     def test_zero_areas(self):
         assert truss_weight([0.0, 0.0], self.problem) == 0.0
+
+    @pytest.mark.parametrize("areas", [[-0.01, 0.01], [0.01, math.nan], [math.inf, 0.01]])
+    def test_bad_area_rejected(self, areas):
+        with pytest.raises(ValueError):
+            truss_weight(areas, self.problem)
 
     def test_start_point_weight(self):
         expected = G_ACCEL * 2767.990471 * 9.144 * (0.0037 + SQRT2 * 0.0049)
@@ -199,6 +209,10 @@ class TestProblemDefinition:
         p = example_problem()
         with pytest.raises(ValueError, match="exceeds area_max"):
             replace(p, area_max=0.9 * p.area_min)
+
+    def test_numpy_scalars_accepted(self):
+        p = example_problem()
+        assert replace(p, E=np.int64(69_000_000_000), rho=np.float64(p.rho)).E == 69e9
 
     def test_only_limits_may_be_infinite(self):
         p = example_problem()

@@ -39,6 +39,20 @@ def linear_fields(lo=0.0, hi=400.0, n=81):
     ]
 
 
+class TestParams:
+    @pytest.mark.parametrize("name", ["sigma_th", "m", "sigma_u", "V0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_values_rejected(self, name, value):
+        fields = dict(sigma_th=1000.0, m=4.0, sigma_u=1200.0, V0=1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            WeibullParams(**{**fields, name: value})
+
+    def test_only_threshold_may_be_zero(self):
+        assert WeibullParams(0.0, 4.0, 1200.0).sigma_th == 0.0
+        with pytest.raises(ValueError, match="^m must be positive, got 0.0"):
+            WeibullParams(1000.0, 0.0, 1200.0)
+
+
 class TestMaxPrincipalStress:
     def test_diagonal(self):
         assert max_principal_stress([3.0, 2.0, 1.0, 0.0]) == pytest.approx(3.0)

@@ -21,7 +21,7 @@ print(f"  peak load {target.load.max():.1f} at CMOD "
       f"{target.cmod[target.load.argmax()]:.2f} mm")
 
 box = ((100.0, 300.0), (20.0, 100.0))
-params, history = inverse_identify(target, box, seed=0)
+params, history = inverse_identify(target, box)
 
 print(f"\nouter iterations ({len(history)}):")
 for it, step in enumerate(history, start=1):

@@ -22,8 +22,9 @@ DEFAULT_SEED = 1234
 
 #: Exceptions that signal a domain problem rather than bad usage.  Plain
 #: ValueError covers the validation in the library's dataclasses and numpy's
-#: parsing of numeric input.
-DOMAIN_ERRORS = (FempostError, ValueError, OSError)
+#: parsing of numeric input; FloatingPointError an overflow, division by zero
+#: or invalid value in the math, which :func:`main` raises instead of warning.
+DOMAIN_ERRORS = (FempostError, ValueError, OSError, FloatingPointError)
 
 
 def _fmt(x) -> str:
@@ -283,7 +284,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

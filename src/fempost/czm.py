@@ -6,11 +6,11 @@ cohesive energy Gamma_c, related through the critical separation:
     Gamma_c = 0.5 * Tc * delta_c
 
 The identification loop samples a handful of (Tc, Gamma_c) pairs, runs the
-forward model to obtain load-CMOD response curves, trains a surrogate mapping
-parameters to curves, minimizes the surrogate-vs-target mismatch over the
-parameter box (three nested grid scans), verifies the optimum with a real
-forward run, and feeds the verification pair back into the training set until
-the verified mismatch drops below tolerance.
+forward model to obtain load-CMOD response curves, fits an exact radial-basis
+network to them, minimizes the network-vs-target mismatch over the parameter
+box (three nested grid scans), verifies the optimum with a real forward run,
+and feeds the verification pair back into the training set until the verified
+mismatch drops below tolerance.
 
 The built-in forward model is a desk-scale closed-form stand-in for the
 cohesive finite element simulation; any callable with the same signature can
@@ -19,10 +19,9 @@ replace it (e.g. a subprocess-driven external solver).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RBFInterpolator
 
 from ._base import FempostError, NoConvergence, check_number, read_csv
 
@@ -157,13 +156,20 @@ def forward_model(params: TSLParams, config: ForwardConfig = ForwardConfig()) ->
     return ResponseCurve(cmod=v, load=load)
 
 
+def _gaussian(x: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Hidden-unit outputs exp(-|x - c|^2), (m, n) for m inputs and n centres;
+    summing (m, n) terms per coordinate beats an (m, n, 2) broadcast."""
+    return np.exp(-sum((x[:, k, None] - centres[:, k]) ** 2 for k in range(x.shape[1])))
+
+
 @dataclass
 class SurrogateModel:
-    """Parameter-to-curve surrogate over normalized (Tc, Gamma_c) inputs."""
+    """Exact Gaussian radial-basis network over normalized (Tc, Gamma_c)."""
 
     lo: np.ndarray              # normalization origin
     span: np.ndarray            # normalization width per input
-    _predictor: object = field(repr=False)
+    centres: np.ndarray         # (n, 2) normalized training inputs
+    weights: np.ndarray         # (n + 1, 12) output layer; last row the constant
 
     def predict(self, params) -> np.ndarray:
         """Predicted load vectors: shape (12,) for a :class:`TSLParams` or a
@@ -171,40 +177,17 @@ class SurrogateModel:
         if isinstance(params, TSLParams):
             params = (params.Tc, params.Gamma_c)
         x = np.asarray(params, dtype=float)
-        y = np.asarray(self._predictor(np.atleast_2d((x - self.lo) / self.span)))
+        hidden = _gaussian(np.atleast_2d((x - self.lo) / self.span), self.centres)
+        y = hidden @ self.weights[:-1] + self.weights[-1]
         return y.reshape(x.shape[:-1] + (N_POINTS,))
 
 
-def _ridge_network(x, y, n_hidden=10, ridge=1e-8, seed=0):
-    """Single-hidden-layer tanh network fit by regularized least squares.
+def train_surrogate(samples) -> SurrogateModel:
+    """Fit the surrogate to (TSLParams, ResponseCurve) training pairs.
 
-    Hidden weights are drawn once from a fixed-seed generator; only the
-    linear output layer is solved for, against the 80% training split.
-    """
-    rng = np.random.default_rng(seed)
-    w = rng.normal(scale=2.0, size=(x.shape[1] + 1, n_hidden))
-    n = x.shape[0]
-    n_train = max(int(round(0.8 * n)), 3) if n > 3 else n
-    perm = rng.permutation(n)
-    train = perm[:n_train]
-
-    def hidden(xx):
-        return np.tanh(np.hstack([xx, np.ones((xx.shape[0], 1))]) @ w)
-
-    h = hidden(x[train])
-    beta = np.linalg.solve(
-        h.T @ h + ridge * np.eye(n_hidden), h.T @ y[train]
-    )
-    return lambda xx: hidden(np.atleast_2d(xx)) @ beta
-
-
-def train_surrogate(samples, kind: str = "interpolant", seed: int = 0) -> SurrogateModel:
-    """Fit a surrogate from (TSLParams, ResponseCurve) training pairs.
-
-    ``kind="interpolant"`` builds a Gaussian radial-basis interpolant that
-    reproduces the training curves exactly; ``kind="network"`` fits a 10-unit
-    single-hidden-layer network by regularized least squares.
-    """
+    The output layer solves [K 1; 1' 0] [W; b] = [Y; 0], K the hidden-unit
+    matrix of the training inputs, so the training curves are reproduced
+    exactly."""
     if len(samples) < 3:
         raise ValueError("at least 3 training samples are required")
     x = np.array([[p.Tc, p.Gamma_c] for p, _ in samples])
@@ -214,14 +197,11 @@ def train_surrogate(samples, kind: str = "interpolant", seed: int = 0) -> Surrog
     lo = x.min(axis=0)
     span = np.ptp(x, axis=0)
     span = np.where(span > 0, span, 1.0)
-    xn = (x - lo) / span
-    if kind == "interpolant":
-        predictor = RBFInterpolator(xn, y, kernel="gaussian", epsilon=1.0)
-    elif kind == "network":
-        predictor = _ridge_network(xn, y, seed=seed)
-    else:
-        raise ValueError(f"unknown surrogate kind {kind!r}")
-    return SurrogateModel(lo=lo, span=span, _predictor=predictor)
+    centres = (x - lo) / span
+    lhs = np.ones((len(x) + 1, len(x) + 1))
+    lhs[:-1, :-1], lhs[-1, -1] = _gaussian(centres, centres), 0.0
+    weights = np.linalg.solve(lhs, np.vstack([y, np.zeros(N_POINTS)]))
+    return SurrogateModel(lo, span, centres, weights)
 
 
 def curve_mismatch(load, target: ResponseCurve) -> float:
@@ -283,8 +263,6 @@ def inverse_identify(
     config: ForwardConfig = ForwardConfig(),
     tol: float = 0.01,
     max_outer: int = 10,
-    kind: str = "interpolant",
-    seed: int = 0,
 ):
     """Identify (Tc, Gamma_c) whose forward response matches *target*.
 
@@ -296,10 +274,13 @@ def inverse_identify(
     to the box centre before verification; *forward* is never called twice
     on the same point.
 
-    Raises ValueError when the box bounds do not increase, :class:`BoxTooSmall`
+    Raises ValueError when the box bounds do not increase, *tol* is NaN or
+    negative or *max_outer* is not positive, :class:`BoxTooSmall`
     when the verified mismatch stalls above tolerance, and
     :class:`NoConvergence` when the iteration budget runs out.
     """
+    check_number("tol", tol, zero=True, inf=True)
+    check_number("max_outer", max_outer)
     if np.any(target.cmod != _cmod_grid(config)):
         raise ValueError("target CMOD abscissae differ from the model window")
     design = _initial_design(box)  # the corners go through TSLParams
@@ -319,7 +300,7 @@ def inverse_identify(
 
     stall = 0
     for _ in range(max_outer):
-        model = train_surrogate(samples, kind=kind, seed=seed)
+        model = train_surrogate(samples)
         candidate = _minimize_surrogate(model, target, box)
         verified = _known_curve(samples, candidate)
         if verified is not None:

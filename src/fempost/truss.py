@@ -117,7 +117,10 @@ def truss_weight(areas, problem: TrussProblem) -> float:
     a1, a2 = float(areas[0]), float(areas[1])
     check_number("A1", a1, zero=True)
     check_number("A2", a2, zero=True)
-    return G_ACCEL * problem.rho * problem.L * (a1 + SQRT2 * a2)
+    # Python floats overflow to inf without a warning
+    weight = G_ACCEL * problem.rho * problem.L * (a1 + SQRT2 * a2)
+    check_number("weight", weight, zero=True)
+    return weight
 
 
 def evaluate_constraints(state: TrussState, problem: TrussProblem) -> np.ndarray:

@@ -174,20 +174,6 @@ def rank_samples(failure_loads) -> list:
     return [FailureSample(load, j + 1, len(loads)) for j, load in enumerate(loads)]
 
 
-def _sigma_w_curve(fields, params: WeibullParams) -> np.ndarray:
-    return np.array([weibull_stress(f, params) for f in fields])
-
-
-def _interp_sigma_w(load_levels, sw_levels, loads) -> np.ndarray:
-    lo, hi = load_levels[0], load_levels[-1]
-    if np.any(loads < lo) or np.any(loads > hi):
-        raise ValueError(
-            f"failure loads outside the field load-level range [{lo}, {hi}]; "
-            "extrapolation is not supported"
-        )
-    return np.interp(loads, load_levels, sw_levels)
-
-
 def _cdf_jacobian(x, sw) -> np.ndarray:
     """Jacobian of F = 1 - exp(-z**m), z = max(sw - sigma_th, 0) / sigma_u,
     with respect to (sigma_th, m, sigma_u); one row per entry of *sw*.
@@ -251,11 +237,14 @@ def fit_three_parameter(
     (piecewise-linear in the load level) using the previous threshold and
     modulus, then refits all three parameters to the empirical rank
     probabilities by least squares.  Stops when the relative norm of the
-    parameter change drops below *tol*.
+    parameter change drops below *tol*.  The Weibull stress does not depend
+    on sigma_u, so each iteration evaluates one sigma_w curve.
 
     Returns ``(WeibullParams, trace)`` where *trace* is the per-iteration list
     of parameter triples.
     """
+    check_number("tol", tol, zero=True, inf=True)
+    check_number("max_iter", max_iter)
     if len(samples) < 3:
         raise ValueError("at least 3 failure samples are required")
     fields = sorted(fields, key=lambda f: f.load_level)
@@ -264,18 +253,26 @@ def fit_three_parameter(
     if repeated.size:
         raise ValueError(f"two element fields at load level {load_levels[repeated[0]]}")
     loads = np.array([s.failure_load for s in samples])
+    lo, hi = load_levels[0], load_levels[-1]
+    if np.any(loads < lo) or np.any(loads > hi):
+        raise ValueError(
+            f"failure loads outside the field load-level range [{lo}, {hi}]; "
+            "extrapolation is not supported"
+        )
     pf_emp = np.array([empirical_cdf(s.rank, s.count) for s in samples])
+
+    def sigma_w(sigma_th, m):
+        """Weibull stress at each failure load, piecewise-linear in the level."""
+        params = WeibullParams(sigma_th, m, 1.0, V0)
+        return np.interp(loads, load_levels, [weibull_stress(f, params) for f in fields])
 
     # neutral start: no threshold, modest modulus, spread-scaled sigma_u
     sigma_th, m = 0.0, 2.0
-    probe = WeibullParams(sigma_th, m, 1.0, V0)
-    sw_probe = _interp_sigma_w(load_levels, _sigma_w_curve(fields, probe), loads)
-    sigma_u = max(float(np.std(sw_probe)), 1e-6)
+    sw = sigma_w(sigma_th, m)
+    sigma_u = max(float(np.std(sw)), 1e-6)
 
     trace = []
     for _ in range(max_iter):
-        params = WeibullParams(sigma_th, max(m, 0.5), max(sigma_u, 1e-9), V0)
-        sw = _interp_sigma_w(load_levels, _sigma_w_curve(fields, params), loads)
         if np.unique(sw).size < 3:
             raise DegenerateFit(
                 "fewer distinct Weibull-stress values than free parameters"
@@ -292,6 +289,7 @@ def fit_three_parameter(
         sigma_th, m, sigma_u = trace[-1]
         if change < tol:
             return WeibullParams(sigma_th, m, sigma_u, V0), trace
+        sw = sigma_w(sigma_th, m)
     raise NoConvergence(f"no convergence after {max_iter} iterations")
 
 

@@ -103,7 +103,7 @@ class TestAcceptance:
         start = time.monotonic()
         target = czm.forward_model(czm.TSLParams(200.0, 60.0))
         params, history = czm.inverse_identify(
-            target, ((100.0, 300.0), (20.0, 100.0)), seed=0
+            target, ((100.0, 300.0), (20.0, 100.0))
         )
         assert abs(params.Tc - 200.0) / 200.0 < 0.02
         assert abs(params.Gamma_c - 60.0) / 60.0 < 0.02

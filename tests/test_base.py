@@ -36,7 +36,9 @@ class TestErrorHierarchy:
         assert issubclass(czm.BoxTooSmall, RuntimeError)
 
     def test_cli_catches_three_bases(self):
-        assert cli.DOMAIN_ERRORS == (fempost.FempostError, ValueError, OSError)
+        assert cli.DOMAIN_ERRORS == (
+            fempost.FempostError, ValueError, OSError, FloatingPointError
+        )
 
 
 class TestCheckNumber:

@@ -1,8 +1,8 @@
 """The CLI's input contract: bad numbers and mutated files end in exit 1 or 2.
 
 Every numeric option of ``synth``, ``weibull-fit``, ``hazard``,
-``czm-identify`` and ``truss-opt --config`` is drawn from NaN, +-inf, 0, -1
-and one valid value.  ``main`` must return 0, 1 or 2, must not raise (the
+``czm-identify`` and ``truss-opt --config`` is drawn from NaN, +-inf, 0, -1,
+1e308 and one valid value.  ``main`` must return 0, 1 or 2, must not raise (the
 suite turns RuntimeWarning into an error), and must print no nan or inf when
 it returns 0.  ``run`` is left out because it spawns processes.
 """
@@ -23,8 +23,8 @@ from fempost.cli import main
 from fempost.czm import ForwardConfig, TSLParams, forward_model
 from fempost.truss import example_problem
 
-BAD_VALUES = ["nan", "inf", "-inf", "0", "-1"]
-JSON_BAD_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1]
+BAD_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e308"]
+JSON_BAD_VALUES = [float("nan"), float("inf"), float("-inf"), 0, -1, 1e308]
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +135,26 @@ def test_box_must_increase(inputs, box):
     assert code == 2
     assert out == ""
     assert "box bounds must increase" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hazard", "--fields", "{root}/fields.csv", "--sigma-th", "1000", "--m", "1e308",
+         "--sigma-u", "1200", "--v0", "1.0"],
+        ["weibull-fit", "--fields", "{root}/fields.csv", "--samples", "{root}/samples.csv",
+         "--v0", "1e308"],
+        ["czm-identify", "--target", "{root}/target.csv", "--box", "100", "1e308", "20", "100"],
+        ["truss-opt", "--config", "{root}/rho.json"],
+    ],
+    ids=["hazard-m", "weibull-fit-v0", "czm-identify-box", "truss-opt-rho"],
+)
+def test_overflow_exits_2(inputs, argv):
+    (inputs / "rho.json").write_text(json.dumps({**asdict(example_problem()), "rho": 1e308}))
+    code, out, err = run([arg.format(root=inputs) for arg in argv])
+    assert code == 2, err
+    assert out == ""
+    assert "overflow" in err or "weight must be finite" in err
 
 
 # Keys the mutated files are extracted with: nodes, elements, displacements,

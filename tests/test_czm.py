@@ -1,7 +1,12 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import RBFInterpolator
 from scipy.optimize import minimize
 
 from fempost.czm import (
@@ -121,7 +126,7 @@ def grid_samples(n_side=4):
 class TestSurrogate:
     def test_interpolant_exact_at_training_points(self):
         samples = grid_samples()
-        model = train_surrogate(samples, kind="interpolant")
+        model = train_surrogate(samples)
         for params, curve in samples:
             assert np.max(np.abs(model.predict(params) - curve.load)) < 1e-8
         batched = model.predict(np.array([[p.Tc, p.Gamma_c] for p, _ in samples]))
@@ -160,12 +165,34 @@ class TestSurrogate:
         with pytest.raises(DuplicateInputs):
             train_surrogate([(p, c), (p, c), (TSLParams(150.0, 40.0), c)])
 
-    def test_network_kind_trains(self):
-        samples = grid_samples()
-        model = train_surrogate(samples, kind="network", seed=3)
-        params, curve = samples[5]
-        rel = np.sqrt(np.mean((model.predict(params) - curve.load) ** 2)) / curve.peak_load
-        assert rel < 0.1
+    def test_matches_gaussian_rbf_reference(self):
+        # the network solves the system RBFInterpolator builds for a Gaussian
+        # kernel with epsilon 1 at its default polynomial degree (0)
+        lo, hi = np.array(BOX).T
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            design = _initial_design(BOX) + [
+                TSLParams(*rng.uniform(lo, hi)) for _ in range(rng.integers(0, 15))
+            ]
+            samples = [(p, forward_model(p)) for p in design]
+            model = train_surrogate(samples)
+            x = np.array([[p.Tc, p.Gamma_c] for p in design])
+            reference = RBFInterpolator(
+                (x - model.lo) / model.span, np.array([c.load for _, c in samples]),
+                kernel="gaussian", epsilon=1.0,
+            )
+            query = rng.uniform(lo, hi, size=(200, 2))
+            target = forward_model(TSLParams(*rng.uniform(lo, hi)))
+            error = np.abs(model.predict(query) - reference((query - model.lo) / model.span))
+            assert error.max() <= 1e-6 * target.peak_load, seed
+
+    def test_import_leaves_scipy_interpolate_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, fempost; assert 'scipy.interpolate' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
 
 
 class TestSurrogateSearch:
@@ -243,9 +270,18 @@ class TestInverseIdentify:
         with pytest.raises(ValueError, match="box bounds must increase"):
             inverse_identify(target, box, forward=pytest.fail)
 
+    @pytest.mark.parametrize(
+        "budget", [{"tol": np.nan}, {"tol": -0.01}, {"max_outer": 0}, {"max_outer": -3}],
+        ids=["tol-nan", "tol-negative", "budget-zero", "budget-negative"],
+    )
+    def test_bad_tol_or_budget_rejected_before_forward(self, budget):
+        target = forward_model(TSLParams(200.0, 60.0))
+        with pytest.raises(ValueError, match="tol|max_outer"):
+            inverse_identify(target, BOX, forward=pytest.fail, **budget)
+
     def test_self_consistent_recovery(self):
         target = forward_model(TSLParams(200.0, 60.0))
-        params, history = inverse_identify(target, BOX, seed=0)
+        params, history = inverse_identify(target, BOX)
         assert params.Tc == pytest.approx(200.0, rel=0.02)
         assert params.Gamma_c == pytest.approx(60.0, rel=0.02)
         assert len(history) <= 10

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fempost import weibull
 from fempost.weibull import (
     DegenerateFit,
     DomainError,
@@ -284,6 +285,30 @@ class TestFit:
         )
         assert len(trace) == 1
         assert np.isfinite([params.sigma_th, params.m, params.sigma_u]).all()
+
+    @pytest.mark.parametrize(
+        "budget", [{"tol": math.nan}, {"tol": -1e-4}, {"max_iter": 0}, {"max_iter": -3}],
+        ids=["tol-nan", "tol-negative", "budget-zero", "budget-negative"],
+    )
+    def test_bad_tol_or_budget_rejected_before_work(self, budget, monkeypatch):
+        monkeypatch.setattr(weibull, "weibull_stress", pytest.fail)
+        samples = quantile_samples(WeibullParams(1000.0, 4.0, 1200.0, 1.0), 50)
+        with pytest.raises(ValueError, match="tol|max_iter"):
+            fit_three_parameter(linear_fields(), samples, V0=1.0, **budget)
+
+    def test_one_sigma_w_curve_per_iteration(self, monkeypatch):
+        evaluated = []
+
+        def counting(field, params):
+            evaluated.append(field.load_level)
+            return weibull_stress(field, params)
+
+        monkeypatch.setattr(weibull, "weibull_stress", counting)
+        fields = linear_fields()
+        true = WeibullParams(1000.0, 4.0, 1200.0, 1.0)
+        _, trace = fit_three_parameter(fields, quantile_samples(true, 200), V0=1.0)
+        assert len(trace) > 1
+        assert len(evaluated) == len(trace) * len(fields)
 
     def test_repeated_load_level_rejected(self):
         fields = linear_fields() + [ElementField(200.0, [9000.0], [1.0])]

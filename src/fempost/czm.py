@@ -224,15 +224,37 @@ def _initial_design(box) -> list:
     ]
 
 
+def _mismatch_map(model: SurrogateModel, target: ResponseCurve, tc, gc) -> np.ndarray:
+    """Mean squared surrogate-vs-target load error on the grid of *tc* x *gc*
+    values, shape (gc.size, tc.size) as from ``np.meshgrid(tc, gc)``.
+
+    The hidden unit factorizes, exp(-du**2 - dv**2) = exp(-du**2) exp(-dv**2),
+    so with per-axis factors a (Tc) and b (Gamma_c) the error at grid point
+    (q, p) is sum_j b[q, j] a[p, j] W[j] + c, c the constant row minus the
+    target: one product, and no hidden matrix with a row per grid point.
+    Expanding the square through W W' instead would lose digits once the
+    weights are large."""
+    u = (tc - model.lo[0]) / model.span[0]
+    v = (gc - model.lo[1]) / model.span[1]
+    a = _gaussian(u[:, None], model.centres[:, :1])
+    b = _gaussian(v[:, None], model.centres[:, 1:])
+    w = model.weights[:-1]
+    aw = (a.T[:, :, None] * w[:, None, :]).reshape(len(w), -1)
+    error = (b @ aw).reshape(v.size, u.size, N_POINTS)
+    error += model.weights[-1] - target.load
+    return np.einsum("qpk,qpk->qp", error, error) / N_POINTS
+
+
 def _minimize_surrogate(model: SurrogateModel, target: ResponseCurve, box) -> TSLParams:
     """Nested grid scan of the surrogate mismatch: scan the box, then rescan
     the +-1-cell neighbourhood of the best point, clipped to the box."""
     box_lo, box_hi = lo, hi = np.array(box, dtype=float).T
     for _ in range(SEARCH_LEVELS):
-        tc, gc = np.meshgrid(*np.linspace(lo, hi, SEARCH_GRID).T)
-        grid = np.column_stack([tc.ravel(), gc.ravel()])
-        sq_error = np.mean((model.predict(grid) - target.load) ** 2, axis=1)
-        best = grid[np.argmin(sq_error)]
+        tc, gc = np.linspace(lo, hi, SEARCH_GRID).T
+        row, col = np.unravel_index(
+            np.argmin(_mismatch_map(model, target, tc, gc)), (SEARCH_GRID, SEARCH_GRID)
+        )
+        best = np.array([tc[col], gc[row]])
         step = (hi - lo) / (SEARCH_GRID - 1)
         lo, hi = np.maximum(best - step, box_lo), np.minimum(best + step, box_hi)
     return TSLParams(float(best[0]), float(best[1]))

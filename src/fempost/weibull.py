@@ -14,7 +14,9 @@ failure load (for the current threshold and modulus) and least-squares fitting
 the three parameters against the empirical rank probabilities, until the
 relative change of the parameter vector drops below tolerance (Gao,
 Ruggieri & Dodds, Eng. Fract. Mech. 59, 1998).  The inner fit is a bounded
-trust-region least-squares solve with the analytic Jacobian of the CDF.
+Levenberg-Marquardt least-squares solve with the analytic Jacobian of the CDF
+(J. J. More, "The Levenberg-Marquardt algorithm: implementation and theory",
+Lecture Notes in Mathematics 630, 1978).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ._base import FempostError, NoConvergence, check_number, read_csv
 
@@ -46,6 +47,11 @@ __all__ = [
 
 LOG10_FLOOR = -16.0
 
+#: The inner fit stops once a Levenberg-Marquardt step moves the parameter
+#: vector by less than this fraction of its norm, or after LM_MAX_STEPS steps.
+LM_XTOL = 1e-10
+LM_MAX_STEPS = 200
+
 
 class DomainError(FempostError, ValueError):
     """Weibull stress below the threshold stress."""
@@ -56,7 +62,8 @@ class RankOutOfRange(FempostError, ValueError):
 
 
 class DegenerateFit(FempostError, ValueError):
-    """Fewer distinct Weibull-stress values than free parameters."""
+    """Fewer distinct Weibull-stress values than free parameters, or an empty
+    parameter interval."""
 
 
 @dataclass(frozen=True)
@@ -194,33 +201,48 @@ def _cdf_jacobian(x, sw) -> np.ndarray:
     return jac
 
 
+def _cdf_residual(x, sw, pf_emp) -> np.ndarray:
+    """F(sw) - P_emp for parameters x = (sigma_th, m, sigma_u)."""
+    sigma_th, m, sigma_u = x
+    z = np.maximum(sw - sigma_th, 0.0) / sigma_u
+    return 1.0 - np.exp(-(z**m)) - pf_emp
+
+
 def _fit_cdf(sw, pf_emp, start, bounds):
-    """Least-squares fit of the three-parameter CDF to empirical points."""
+    """Bounded Levenberg-Marquardt fit of the three-parameter CDF to empirical
+    points.  Each step solves (J'J + lambda diag(J'J)) dx = -J'r and clips the
+    result into the bounds; lambda starts at 1e-3, shrinks tenfold after a
+    step that lowers the squared residual and grows tenfold after one that
+    does not."""
     lower, upper = np.array(bounds, dtype=float).T
     # the threshold's upper bound moves between iterations: clip the start in
     x = np.clip(np.asarray(start, dtype=float), lower, upper)
-    # least_squares needs lower < upper; a parameter whose interval has closed
-    # (sigma_th, when a failure sits at zero Weibull stress) stays where it is
+    # a parameter whose interval has closed (sigma_th, when a failure sits at
+    # zero Weibull stress) stays where it is
     free = lower < upper
-
-    def params(x_free):
-        full = x.copy()
-        full[free] = x_free
-        return full
-
-    def residual(x_free):
-        sigma_th, m, sigma_u = params(x_free)
-        z = np.maximum(sw - sigma_th, 0.0) / sigma_u
-        return 1.0 - np.exp(-(z**m)) - pf_emp
-
-    res = least_squares(
-        residual,
-        x[free],
-        jac=lambda x_free: _cdf_jacobian(params(x_free), sw)[:, free],
-        bounds=(lower[free], upper[free]),
-        method="trf",
-    )
-    x[free] = res.x
+    r = _cdf_residual(x, sw, pf_emp)
+    jac = _cdf_jacobian(x, sw)
+    damping = 1e-3
+    for _ in range(LM_MAX_STEPS):
+        grad = jac.T @ r
+        # a parameter on a bound that the descent direction -grad points past
+        # is held there for this step
+        move = free & ~((x == lower) & (grad > 0)) & ~((x == upper) & (grad < 0))
+        hess = jac[:, move].T @ jac[:, move]
+        # the floor keeps the system regular where a Jacobian column vanishes
+        scale = np.diag(hess).clip(min=np.finfo(float).tiny)
+        step = np.zeros(3)
+        step[move] = np.linalg.solve(hess + damping * np.diag(scale), -grad[move])
+        trial = np.clip(x + step, lower, upper)
+        if np.linalg.norm(trial - x) <= LM_XTOL * np.linalg.norm(x):
+            break
+        r_trial = _cdf_residual(trial, sw, pf_emp)
+        if r_trial @ r_trial < r @ r:
+            x, r = trial, r_trial
+            jac = _cdf_jacobian(x, sw)
+            damping *= 0.1
+        else:
+            damping *= 10.0
     return x
 
 
@@ -282,6 +304,11 @@ def fit_three_parameter(
             (0.5, 50.0),
             (1e-6, 10.0 * float(sw.max())),
         ]
+        if bounds[2][0] > bounds[2][1]:
+            raise DegenerateFit(
+                f"empty sigma_u interval [{bounds[2][0]}, {bounds[2][1]}]: the Weibull "
+                f"stresses (at most {float(sw.max())}) are too small for V0 = {V0}"
+            )
         new = _fit_cdf(sw, pf_emp, (sigma_th, m, sigma_u), bounds)
         old = np.array([sigma_th, m, sigma_u])
         trace.append(tuple(float(v) for v in new))

@@ -1,10 +1,13 @@
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,18 @@ class TestDispatch:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "usage: fempost" in out
+
+    def test_import_loads_no_scipy(self):
+        # the runtime needs numpy alone; scipy is a test-only reference
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, fempost, fempost.cli; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_missing_required_option_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "extract", "some.fil")

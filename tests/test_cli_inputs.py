@@ -142,12 +142,10 @@ def test_box_must_increase(inputs, box):
     [
         ["hazard", "--fields", "{root}/fields.csv", "--sigma-th", "1000", "--m", "1e308",
          "--sigma-u", "1200", "--v0", "1.0"],
-        ["weibull-fit", "--fields", "{root}/fields.csv", "--samples", "{root}/samples.csv",
-         "--v0", "1e308"],
         ["czm-identify", "--target", "{root}/target.csv", "--box", "100", "1e308", "20", "100"],
         ["truss-opt", "--config", "{root}/rho.json"],
     ],
-    ids=["hazard-m", "weibull-fit-v0", "czm-identify-box", "truss-opt-rho"],
+    ids=["hazard-m", "czm-identify-box", "truss-opt-rho"],
 )
 def test_overflow_exits_2(inputs, argv):
     (inputs / "rho.json").write_text(json.dumps({**asdict(example_problem()), "rho": 1e308}))
@@ -155,6 +153,18 @@ def test_overflow_exits_2(inputs, argv):
     assert code == 2, err
     assert out == ""
     assert "overflow" in err or "weight must be finite" in err
+
+
+def test_weibull_fit_huge_v0_exits_2(inputs):
+    # every sigma_w is about 1e-151, so sigma_u's interval (1e-6, 10 max sigma_w)
+    # is empty; the fit refuses it before any step
+    code, out, err = run([
+        "weibull-fit", "--fields", str(inputs / "fields.csv"),
+        "--samples", str(inputs / "samples.csv"), "--v0", "1e308",
+    ])
+    assert code == 2, err
+    assert out == ""
+    assert "empty sigma_u interval" in err
 
 
 # Keys the mutated files are extracted with: nodes, elements, displacements,

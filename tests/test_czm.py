@@ -1,16 +1,14 @@
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import RBFInterpolator
 from scipy.optimize import minimize
 
+from fempost import czm
 from fempost.czm import (
     SEARCH_GRID,
+    SEARCH_LEVELS,
     BoxTooSmall,
     DuplicateInputs,
     ForwardConfig,
@@ -186,14 +184,6 @@ class TestSurrogate:
             error = np.abs(model.predict(query) - reference((query - model.lo) / model.span))
             assert error.max() <= 1e-6 * target.peak_load, seed
 
-    def test_import_leaves_scipy_interpolate_unloaded(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        code = "import sys, fempost; assert 'scipy.interpolate' not in sys.modules"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-
-
 
 class TestSurrogateSearch:
     """The nested grid scan behind each outer iteration's surrogate optimum."""
@@ -238,18 +228,40 @@ class TestSurrogateSearch:
         for name, value in edge.items():
             assert getattr(found, name) == value
 
-    def test_one_predict_call_per_scan(self, monkeypatch):
-        model = train_surrogate(grid_samples())
-        calls = []
-        predict = model.predict
+    @pytest.mark.parametrize("extra", [5, 15])
+    def test_scan_map_matches_predict(self, extra, monkeypatch):
+        # at every level the separable map equals the mean squared error of
+        # model.predict on the level's full meshgrid, with the same argmin;
+        # up to 15 extra training points give weights up to 7e8
+        scans = []
 
-        def counting_predict(params):
-            calls.append(np.shape(params))
-            return predict(params)
+        def recording_map(model, target, tc, gc):
+            sq_error = mismatch_map(model, target, tc, gc)
+            scans.append((tc, gc, sq_error))
+            return sq_error
 
-        monkeypatch.setattr(model, "predict", counting_predict)
-        _minimize_surrogate(model, forward_model(TSLParams(237.0, 47.0)), BOX)
-        assert calls == [(SEARCH_GRID * SEARCH_GRID, 2)] * 3
+        mismatch_map = czm._mismatch_map
+        monkeypatch.setattr(czm, "_mismatch_map", recording_map)
+        lo, hi = np.array(BOX).T
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            design = _initial_design(BOX) + [
+                TSLParams(*rng.uniform(lo, hi)) for _ in range(rng.integers(0, extra + 1))
+            ]
+            model = train_surrogate([(p, forward_model(p)) for p in design])
+            target = forward_model(TSLParams(*rng.uniform(lo, hi)))
+            scans.clear()
+            found = _minimize_surrogate(model, target, BOX)
+            assert len(scans) == SEARCH_LEVELS
+            for tc, gc, sq_error in scans:
+                grid = np.column_stack([m.ravel() for m in np.meshgrid(tc, gc)])
+                reference = np.mean((model.predict(grid) - target.load) ** 2, axis=1)
+                assert sq_error.shape == (SEARCH_GRID, SEARCH_GRID)
+                np.testing.assert_allclose(
+                    sq_error.ravel(), reference, rtol=0, atol=1e-9 * target.peak_load**2
+                )
+                assert np.argmin(sq_error) == np.argmin(reference), seed
+            assert (found.Tc, found.Gamma_c) == tuple(grid[np.argmin(reference)])
 
 
 class TestInverseIdentify:

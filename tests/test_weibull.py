@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from fempost import weibull
 from fempost.weibull import (
@@ -20,7 +21,7 @@ from fempost.weibull import (
     rank_samples,
     weibull_stress,
 )
-from fempost.weibull import _cdf_jacobian
+from fempost.weibull import _cdf_jacobian, _fit_cdf
 
 
 def quantile_samples(true: WeibullParams, n: int):
@@ -29,6 +30,29 @@ def quantile_samples(true: WeibullParams, n: int):
     u = (np.arange(1, n + 1) - 0.3) / (n + 0.4)
     sw = true.sigma_th + true.sigma_u * (-np.log(1 - u)) ** (1.0 / true.m)
     return rank_samples((sw - 800.0) / 10.0)
+
+
+def least_squares_fit(sw, pf_emp, start, bounds):
+    """Reference inner fit: scipy's bounded trust-region solver at tight
+    tolerances, with a closed interval's parameter held at its value."""
+    lower, upper = np.array(bounds, dtype=float).T
+    x = np.clip(np.asarray(start, dtype=float), lower, upper)
+    free = lower < upper
+
+    def full(x_free):
+        params = x.copy()
+        params[free] = x_free
+        return params
+
+    def residual(x_free):
+        sigma_th, m, sigma_u = full(x_free)
+        return 1.0 - np.exp(-((np.maximum(sw - sigma_th, 0.0) / sigma_u) ** m)) - pf_emp
+
+    result = least_squares(
+        residual, x[free], jac=lambda x_free: _cdf_jacobian(full(x_free), sw)[:, free],
+        bounds=(lower[free], upper[free]), xtol=1e-15, ftol=1e-15, gtol=1e-15,
+    )
+    return full(result.x)
 
 
 def linear_fields(lo=0.0, hi=400.0, n=81):
@@ -252,6 +276,46 @@ class TestFit:
         assert params.sigma_th == 0.0
         assert params.m == pytest.approx(4.0, rel=0.05)
         assert params.sigma_u == pytest.approx(1200.0, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "seed, n, th_upper",
+        [(0, 200, None), (1, 30, None), (4, 200, None), (0, 30, None), (1, 200, 900.0),
+         (None, 200, None)],
+        ids=["interior-200", "interior-30", "interior-200b", "threshold-at-zero",
+             "threshold-on-upper-bound", "closed-threshold-interval"],
+    )
+    def test_inner_fit_matches_least_squares(self, seed, n, th_upper):
+        # seeded sigma_w samples of (1000, 4, 1200) with fit_three_parameter's
+        # bounds and start; "threshold-at-zero" ends with sigma_th on its lower
+        # bound, and an upper bound of 900 below the planted threshold holds
+        # it there.  Without a seed, the data of test_failure_at_zero_stress:
+        # a failure at zero stress closes sigma_th's interval.
+        pf_emp = (np.arange(1, n + 1) - 0.3) / (n + 0.4)
+        if seed is None:
+            sw = 1200.0 * (-np.log(1 - pf_emp)) ** 0.25
+            sw[0] = 0.0
+        else:
+            rng = np.random.default_rng(seed)
+            sw = np.sort(1000.0 + 1200.0 * (-np.log1p(-rng.uniform(size=n))) ** 0.25)
+        upper = sw.min() * (1 - 1e-9) if th_upper is None else th_upper
+        bounds = [(0.0, upper), (0.5, 50.0), (1e-6, 10.0 * sw.max())]
+        start = (0.0, 2.0, float(np.std(sw)))
+        found = _fit_cdf(sw, pf_emp, start, bounds)
+        reference = least_squares_fit(sw, pf_emp, start, bounds)
+        # a parameter on the bound 0 is compared on the scale of sigma_w
+        np.testing.assert_allclose(found, reference, rtol=1e-6, atol=1e-9 * sw.max())
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(found, bounds))
+        if th_upper is not None:
+            assert found[0] == th_upper
+        if seed is None:
+            assert found[0] == 0.0
+
+    def test_huge_reference_volume_rejected(self):
+        # V0 = 1e308 shrinks every sigma_w to about 1e-151, below sigma_u's
+        # lower bound of 1e-6
+        true = WeibullParams(1000.0, 4.0, 1200.0, 1.0)
+        with pytest.raises(DegenerateFit, match="empty sigma_u interval"):
+            fit_three_parameter(linear_fields(), quantile_samples(true, 50), V0=1e308)
 
     @pytest.mark.parametrize("x", [(1100.0, 4.0, 1200.0), (1000.0, 0.7, 900.0)])
     def test_jacobian_matches_central_difference(self, x):

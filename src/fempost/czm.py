@@ -15,6 +15,10 @@ mismatch drops below tolerance.
 The built-in forward model is a desk-scale closed-form stand-in for the
 cohesive finite element simulation; any callable with the same signature can
 replace it (e.g. a subprocess-driven external solver).
+
+A target must cover the fixed CMOD window all curves are compared on.  The
+model's peak CMOD is Gamma_c / Tc; beyond Gamma_c / Tc = 0.45 the peak nears
+the window's end, and a mismatch of 0.005 can leave Gamma_c 2-4% off.
 """
 
 from __future__ import annotations
@@ -357,8 +361,8 @@ def inverse_identify(
 
 def load_target_csv(path, config: ForwardConfig = ForwardConfig()) -> ResponseCurve:
     """Read a (CMOD, load) curve from comma-separated text, reject non-finite
-    values and repeated CMOD values, and resample it onto the 12 common
-    abscissae by linear interpolation."""
+    values, repeated CMOD values and a curve that stops short of the window,
+    then resample it onto the 12 common abscissae by linear interpolation."""
     table = read_csv(path)
     if table.shape[1] != 2:
         raise ValueError(f"expected 2 columns (cmod,load), got {table.shape[1]}")
@@ -369,4 +373,9 @@ def load_target_csv(path, config: ForwardConfig = ForwardConfig()) -> ResponseCu
     if repeated.size:
         raise ValueError(f"CMOD value {float(v[repeated[0]])} repeated")
     grid = _cmod_grid(config)
+    if v[0] > grid[0] or v[-1] < grid[-1]:
+        raise ValueError(
+            f"target CMOD range [{v[0]}, {v[-1]}] does not cover the model window "
+            f"[{grid[0]}, {grid[-1]}]"
+        )
     return ResponseCurve(cmod=grid, load=np.interp(grid, v, p))

@@ -38,8 +38,8 @@ with the item count it encodes to.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 from ._base import FempostError
 
@@ -121,15 +121,12 @@ def str8(text: str) -> str:
     return text.ljust(8)
 
 
-@dataclass(frozen=True)
-class LogicalRecord:
-    """One logical record: type key and attribute items."""
+class LogicalRecord(NamedTuple):
+    """One logical record: type key and attribute items, stored as given (pass
+    a tuple); a record equals the plain tuple ``(key, attributes)``."""
 
     key: int
     attributes: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(self.attributes))
 
     @property
     def length(self) -> int:

@@ -181,31 +181,30 @@ def rank_samples(failure_loads) -> list:
     return [FailureSample(load, j + 1, len(loads)) for j, load in enumerate(loads)]
 
 
-def _cdf_jacobian(x, sw) -> np.ndarray:
-    """Jacobian of F = 1 - exp(-z**m), z = max(sw - sigma_th, 0) / sigma_u,
-    with respect to (sigma_th, m, sigma_u); one row per entry of *sw*.
+def _cdf_terms(x, sw, pf_emp):
+    """Residual F(sw) - P_emp and Jacobian of F = 1 - exp(-z**m), z = max(sw -
+    sigma_th, 0) / sigma_u, with respect to x = (sigma_th, m, sigma_u).
 
     With S = exp(-z**m): dF/dsigma_th = -S m z**(m-1) / sigma_u,
-    dF/dm = S z**m ln z and dF/dsigma_u = -S m z**m / sigma_u.  Rows where
-    z = 0 are zero.
+    dF/dm = S z**m ln z and dF/dsigma_u = -S m z**m / sigma_u; rows where
+    z = 0 are zero.  z**m = exp(min(m ln z, 700)) cannot overflow: far out in
+    the tail F saturates at 1.
     """
     sigma_th, m, sigma_u = x
     z = (sw - sigma_th) / sigma_u
     above = z > 0
     za = z[above]
-    s_zm = np.exp(-(za**m)) * za**m
+    log_z = np.log(za)
+    zm = np.exp(np.minimum(m * log_z, 700.0))
+    survival = np.exp(-zm)
+    s_zm = survival * zm
+    r = -pf_emp
+    r[above] += 1.0 - survival
     jac = np.zeros((sw.size, 3))
     jac[above, 0] = -m * s_zm / (za * sigma_u)
-    jac[above, 1] = s_zm * np.log(za)
+    jac[above, 1] = s_zm * log_z
     jac[above, 2] = -m * s_zm / sigma_u
-    return jac
-
-
-def _cdf_residual(x, sw, pf_emp) -> np.ndarray:
-    """F(sw) - P_emp for parameters x = (sigma_th, m, sigma_u)."""
-    sigma_th, m, sigma_u = x
-    z = np.maximum(sw - sigma_th, 0.0) / sigma_u
-    return 1.0 - np.exp(-(z**m)) - pf_emp
+    return r, jac
 
 
 def _fit_cdf(sw, pf_emp, start, bounds):
@@ -217,17 +216,13 @@ def _fit_cdf(sw, pf_emp, start, bounds):
     lower, upper = np.array(bounds, dtype=float).T
     # the threshold's upper bound moves between iterations: clip the start in
     x = np.clip(np.asarray(start, dtype=float), lower, upper)
-    # a parameter whose interval has closed (sigma_th, when a failure sits at
-    # zero Weibull stress) stays where it is
-    free = lower < upper
-    r = _cdf_residual(x, sw, pf_emp)
-    jac = _cdf_jacobian(x, sw)
+    r, jac = _cdf_terms(x, sw, pf_emp)
     damping = 1e-3
     for _ in range(LM_MAX_STEPS):
         grad = jac.T @ r
-        # a parameter on a bound that the descent direction -grad points past
-        # is held there for this step
-        move = free & ~((x == lower) & (grad > 0)) & ~((x == upper) & (grad < 0))
+        # hold a parameter whose interval has closed (sigma_th after a failure at
+        # zero Weibull stress) or that sits on a bound the descent -grad points past
+        move = (lower < upper) & ~((x == lower) & (grad > 0)) & ~((x == upper) & (grad < 0))
         hess = jac[:, move].T @ jac[:, move]
         # the floor keeps the system regular where a Jacobian column vanishes
         scale = np.diag(hess).clip(min=np.finfo(float).tiny)
@@ -236,10 +231,9 @@ def _fit_cdf(sw, pf_emp, start, bounds):
         trial = np.clip(x + step, lower, upper)
         if np.linalg.norm(trial - x) <= LM_XTOL * np.linalg.norm(x):
             break
-        r_trial = _cdf_residual(trial, sw, pf_emp)
+        r_trial, jac_trial = _cdf_terms(trial, sw, pf_emp)
         if r_trial @ r_trial < r @ r:
-            x, r = trial, r_trial
-            jac = _cdf_jacobian(x, sw)
+            x, r, jac = trial, r_trial, jac_trial
             damping *= 0.1
         else:
             damping *= 10.0
@@ -288,10 +282,10 @@ def fit_three_parameter(
         params = WeibullParams(sigma_th, m, 1.0, V0)
         return np.interp(loads, load_levels, [weibull_stress(f, params) for f in fields])
 
-    # neutral start: no threshold, modest modulus, spread-scaled sigma_u
+    # neutral start: no threshold, modest modulus, z near 1 (sigma_u = median sigma_w)
     sigma_th, m = 0.0, 2.0
     sw = sigma_w(sigma_th, m)
-    sigma_u = max(float(np.std(sw)), 1e-6)
+    sigma_u = float(np.median(sw))
 
     trace = []
     for _ in range(max_iter):
@@ -312,7 +306,7 @@ def fit_three_parameter(
         new = _fit_cdf(sw, pf_emp, (sigma_th, m, sigma_u), bounds)
         old = np.array([sigma_th, m, sigma_u])
         trace.append(tuple(float(v) for v in new))
-        change = np.linalg.norm(new - old) / max(np.linalg.norm(old), 1e-30)
+        change = np.linalg.norm(new - old) / np.linalg.norm(old)
         sigma_th, m, sigma_u = trace[-1]
         if change < tol:
             return WeibullParams(sigma_th, m, sigma_u, V0), trace
@@ -329,7 +323,6 @@ def hazard_map(field: ElementField, params: WeibullParams):
     """
     sw_local = params.sigma_th + _weighted_excess(field, params) ** (1.0 / params.m)
     pf = failure_probability(sw_local, params)
-    pf = np.atleast_1d(pf)
     with np.errstate(divide="ignore"):
         log_pf = np.log10(pf)
     log_pf = np.maximum(log_pf, LOG10_FLOOR)

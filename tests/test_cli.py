@@ -120,6 +120,18 @@ class TestDomainErrors:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
+    def test_short_czm_target_exits_2(self, capsys, tmp_path):
+        from fempost.czm import ForwardConfig, TSLParams, forward_model
+
+        # the planted (200, 60) curve, sampled only up to CMOD 0.45
+        curve = forward_model(TSLParams(200.0, 60.0), ForwardConfig(cmod_max=0.45))
+        target = tmp_path / "target.csv"
+        rows = zip(curve.cmod.tolist(), curve.load.tolist())
+        target.write_text("cmod,load\n" + "".join(f"{v!r},{p!r}\n" for v, p in rows))
+        code, _, err = run_cli(capsys, "czm-identify", "--target", str(target))
+        assert code == 2
+        assert err.startswith("error: ") and "does not cover the model window" in err
+
     def test_item_error_carries_offset(self, capsys, tmp_path):
         fil = tmp_path / "bad_digits.fil"
         fil.write_text("*I 13I 11I 31_0\n")

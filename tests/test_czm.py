@@ -367,6 +367,20 @@ class TestTargetIngestion:
         resampled = load_target_csv(path, config)
         assert np.max(np.abs(resampled.load - curve.load)) / curve.peak_load < 1e-3
 
+    @pytest.mark.parametrize(
+        "cmod", [[0.2, 0.3], np.linspace(0.05, 0.45, 81)], ids=["two-rows", "stops-at-0.45"]
+    )
+    def test_target_must_cover_window(self, tmp_path, cmod):
+        # np.interp would hold the end values flat over the rest of the window
+        v = np.asarray(cmod)
+        load = 25.0 * 200.0**0.8 * 60.0**0.2 * (v / 0.3) * np.exp(1.0 - v / 0.3)
+        path = tmp_path / "target.csv"
+        self.write_curve(path, zip(v, load))
+        with pytest.raises(ValueError, match=re.escape(
+            f"target CMOD range [{v[0]}, {v[-1]}] does not cover the model window [0.05, 0.6]"
+        )):
+            load_target_csv(path)
+
     @pytest.mark.parametrize("row", ["0.1", "0.1,5.0,7.0"])
     def test_wrong_column_count_rejected(self, tmp_path, row):
         path = tmp_path / "target.csv"

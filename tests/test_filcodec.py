@@ -219,7 +219,10 @@ class TestGrammar:
     @given(st.randoms(use_true_random=False))
     def test_decode_inverts_encode(self, rng):
         stream = random_stream(rng)
-        assert decode_stream(encode_stream(stream).replace("\n", "")) == stream
+        decoded = decode_stream(encode_stream(stream).replace("\n", ""))
+        assert decoded == stream
+        # a record stores its attributes as given, so decode must build tuples
+        assert all(type(r) is LogicalRecord and type(r.attributes) is tuple for r in decoded)
 
     @given(
         st.one_of(

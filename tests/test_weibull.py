@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
 from fempost import weibull
@@ -21,7 +24,7 @@ from fempost.weibull import (
     rank_samples,
     weibull_stress,
 )
-from fempost.weibull import _cdf_jacobian, _fit_cdf
+from fempost.weibull import _cdf_terms, _fit_cdf
 
 
 def quantile_samples(true: WeibullParams, n: int):
@@ -49,7 +52,7 @@ def least_squares_fit(sw, pf_emp, start, bounds):
         return 1.0 - np.exp(-((np.maximum(sw - sigma_th, 0.0) / sigma_u) ** m)) - pf_emp
 
     result = least_squares(
-        residual, x[free], jac=lambda x_free: _cdf_jacobian(full(x_free), sw)[:, free],
+        residual, x[free], jac=lambda x_free: _cdf_terms(full(x_free), sw, pf_emp)[1][:, free],
         bounds=(lower[free], upper[free]), xtol=1e-15, ftol=1e-15, gtol=1e-15,
     )
     return full(result.x)
@@ -277,6 +280,32 @@ class TestFit:
         assert params.m == pytest.approx(4.0, rel=0.05)
         assert params.sigma_u == pytest.approx(1200.0, rel=0.05)
 
+    def test_large_threshold_recovered(self):
+        # sigma_th / sigma_u = 7.5: a start at sigma_u = std(sigma_w) put z near
+        # 30, where F = 1 and the Jacobian vanish, and the fit returned its start
+        true = WeibullParams(1500.0, 4.0, 200.0)
+        u = (np.arange(1, 51) - 0.3) / 50.4
+        sw = true.sigma_th + true.sigma_u * (-np.log(1 - u)) ** (1.0 / true.m)
+        fields = [ElementField(J, [10.0 * J], [1.0]) for J in np.linspace(0, 400, 81)]
+        params, _ = fit_three_parameter(fields, rank_samples(sw / 10.0))
+        assert params.sigma_th == pytest.approx(1500.0, rel=1e-6)
+        assert params.m == pytest.approx(4.0, rel=1e-6)
+        assert params.sigma_u == pytest.approx(200.0, rel=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ratio=st.floats(0.0, 10.0), m=st.floats(2.0, 20.0))
+    def test_fits_any_threshold_ratio(self, ratio, m):
+        # exact median-rank data of (ratio * 200, m, 200); the fields span the
+        # failure loads, so the interpolated sigma_w is exact
+        u = (np.arange(1, 31) - 0.3) / 30.4
+        sw = 200.0 * (ratio + (-np.log(1 - u)) ** (1.0 / m))
+        levels = np.linspace(sw[0] / 10.0, sw[-1] / 10.0, 5)
+        fields = [ElementField(J, [10.0 * J], [1.0]) for J in levels]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params, _ = fit_three_parameter(fields, rank_samples(sw / 10.0))
+        assert np.max(np.abs(failure_probability(sw, params) - u)) <= 0.02
+
     @pytest.mark.parametrize(
         "seed, n, th_upper",
         [(0, 200, None), (1, 30, None), (4, 200, None), (0, 30, None), (1, 200, 900.0),
@@ -327,7 +356,10 @@ class TestFit:
             z = np.maximum(sw - p[0], 0.0) / p[2]
             return 1.0 - np.exp(-(z ** p[1]))
 
-        jac = _cdf_jacobian(np.array(x), sw)
+        pf_emp = np.linspace(0.01, 0.99, sw.size)
+        r, jac = _cdf_terms(np.array(x), sw, pf_emp)
+        # the overflow guard on z**m does not bind at these z
+        np.testing.assert_allclose(r, cdf(x) - pf_emp, rtol=0, atol=1e-15)
         assert jac.shape == (sw.size, 3)
         assert np.all(jac[sw <= x[0]] == 0.0)
         for k in range(3):
@@ -341,6 +373,15 @@ class TestFit:
             np.testing.assert_allclose(
                 jac[smooth, k], fd[smooth], rtol=1e-6, atol=1e-6 * np.max(np.abs(fd))
             )
+
+    def test_terms_saturate_without_overflow(self):
+        # z**m = 1e500 would overflow a double: F saturates at 1 and its
+        # derivatives at 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, jac = _cdf_terms(np.array([0.0, 50.0, 1.0]), np.array([1e10]), np.array([0.5]))
+        assert r.tolist() == [0.5]
+        assert jac.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_infinite_tol_one_iteration(self):
         true = WeibullParams(1000.0, 4.0, 1200.0, 1.0)

@@ -196,7 +196,8 @@ def train_surrogate(samples) -> SurrogateModel:
         raise ValueError("at least 3 training samples are required")
     x = np.array([[p.Tc, p.Gamma_c] for p, _ in samples])
     y = np.array([c.load for _, c in samples])
-    if np.unique(x, axis=0).shape[0] != x.shape[0]:
+    # TSLParams admits no NaN and no -0.0, so equal rows are equal tuples
+    if len(set(map(tuple, x.tolist()))) != len(x):
         raise DuplicateInputs("coincident surrogate training inputs")
     lo = x.min(axis=0)
     span = np.ptp(x, axis=0)
@@ -265,11 +266,10 @@ def _minimize_surrogate(model: SurrogateModel, target: ResponseCurve, box) -> TS
 
 
 def _known_curve(samples, params: TSLParams):
-    """Stored curve of the training point allclose to *params*, or None."""
-    for p, curve in samples:
-        if np.allclose([params.Tc, params.Gamma_c], [p.Tc, p.Gamma_c]):
-            return curve
-    return None
+    """Stored curve of the first training point allclose to *params*, or None."""
+    x = np.array([[p.Tc, p.Gamma_c] for p, _ in samples])
+    hits = np.flatnonzero(np.isclose([params.Tc, params.Gamma_c], x).all(axis=1))
+    return samples[hits[0]][1] if hits.size else None
 
 
 @dataclass
@@ -301,12 +301,12 @@ def inverse_identify(
     on the same point.
 
     Raises ValueError when the box bounds do not increase, *tol* is NaN or
-    negative or *max_outer* is not positive, :class:`BoxTooSmall`
+    negative or *max_outer* is not a positive integer, :class:`BoxTooSmall`
     when the verified mismatch stalls above tolerance, and
     :class:`NoConvergence` when the iteration budget runs out.
     """
     check_number("tol", tol, zero=True, inf=True)
-    check_number("max_outer", max_outer)
+    check_number("max_outer", max_outer, integer=True)
     if np.any(target.cmod != _cmod_grid(config)):
         raise ValueError("target CMOD abscissae differ from the model window")
     design = _initial_design(box)  # the corners go through TSLParams

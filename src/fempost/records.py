@@ -65,10 +65,6 @@ class OrphanStressRecord(FempostError):
     """A stress record appeared before any element header record."""
 
 
-def _csv_cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 class _Table:
     """Shared layout of every table: ``rows`` is a list of tuples whose last
     entry holds the components, all of one width; CSV spreads the components
@@ -89,7 +85,7 @@ class _Table:
         buffer = out if out is not None else io.StringIO()
         buffer.write(",".join(self._header()) + "\n")
         for row in self.rows:
-            buffer.write(",".join(_csv_cell(v) for v in self._cells(row)) + "\n")
+            buffer.write(",".join(map(str, self._cells(row))) + "\n")
         return buffer.getvalue() if out is None else None
 
 

@@ -162,18 +162,26 @@ def grid_sweep(problem: TrussProblem, n: int = 200):
     feasible grid design ``(areas, weight)``.
 
     Serves as an independent check on the optimizer: no feasible grid point
-    may undercut its result by more than the grid resolution allows.
+    may undercut its result by more than the grid resolution allows.  Every
+    grid point is checked.  Feasibility and weight are both monotone in A2
+    (rounding included), so the lightest feasible point of each A1 row is its
+    first feasible column, and only those are compared; ties go to the first
+    point in row-major order.  Raises ValueError unless *n* is a positive
+    integer, and :class:`Infeasible` when no grid point is feasible.
     """
+    check_number("n", n, integer=True)
     areas = np.linspace(problem.area_min, problem.area_max, n)
-    a1, a2 = areas[:, None], areas[None, :]
-    ux, uy = _displacements(a1, a2, problem)
-    feasible = (-uy <= problem.d_max) & (-ux <= problem.d_max)
-    if not feasible.any():
+    ux, uy = _displacements(areas[:, None], areas[None, :], problem)
+    # both displacements are negative: comparing them with -d_max spares a
+    # negated copy of the grid
+    feasible = (ux >= -problem.d_max) & (uy >= -problem.d_max)
+    rows = np.flatnonzero(feasible.any(axis=1))
+    if not rows.size:
         raise Infeasible("no feasible point on the grid")
-    weight = G_ACCEL * problem.rho * problem.L * (a1 + SQRT2 * a2)
-    weight = np.where(feasible, weight, np.inf)
-    i, j = np.unravel_index(np.argmin(weight), weight.shape)
-    return (float(areas[i]), float(areas[j])), float(weight[i, j])
+    cols = feasible[rows].argmax(axis=1)
+    weight = G_ACCEL * problem.rho * problem.L * (areas[rows] + SQRT2 * areas[cols])
+    k = np.argmin(weight)
+    return (float(areas[rows[k]]), float(areas[cols[k]])), float(weight[k])
 
 
 def example_problem() -> TrussProblem:

@@ -257,10 +257,11 @@ def fit_three_parameter(
     on sigma_u, so each iteration evaluates one sigma_w curve.
 
     Returns ``(WeibullParams, trace)`` where *trace* is the per-iteration list
-    of parameter triples.
+    of parameter triples.  Raises ValueError when *tol* is NaN or negative or
+    *max_iter* is not a positive integer.
     """
     check_number("tol", tol, zero=True, inf=True)
-    check_number("max_iter", max_iter)
+    check_number("max_iter", max_iter, integer=True)
     if len(samples) < 3:
         raise ValueError("at least 3 failure samples are required")
     fields = sorted(fields, key=lambda f: f.load_level)

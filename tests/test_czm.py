@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RBFInterpolator
 from scipy.optimize import minimize
 
@@ -24,6 +26,7 @@ from fempost.czm import (
     load_target_csv,
     train_surrogate,
     _initial_design,
+    _known_curve,
     _minimize_surrogate,
 )
 
@@ -283,8 +286,15 @@ class TestInverseIdentify:
             inverse_identify(target, box, forward=pytest.fail)
 
     @pytest.mark.parametrize(
-        "budget", [{"tol": np.nan}, {"tol": -0.01}, {"max_outer": 0}, {"max_outer": -3}],
-        ids=["tol-nan", "tol-negative", "budget-zero", "budget-negative"],
+        "budget",
+        [
+            {"tol": np.nan}, {"tol": -0.01}, {"max_outer": 0}, {"max_outer": -3},
+            {"max_outer": 2.5}, {"max_outer": True},
+        ],
+        ids=[
+            "tol-nan", "tol-negative", "budget-zero", "budget-negative",
+            "budget-fraction", "budget-bool",
+        ],
     )
     def test_bad_tol_or_budget_rejected_before_forward(self, budget):
         target = forward_model(TSLParams(200.0, 60.0))
@@ -350,6 +360,141 @@ class TestInverseIdentify:
         assert curve_mismatch(target.load, target) == 0.0
         shifted = target.load + 0.1 * target.peak_load
         assert curve_mismatch(shifted, target) == pytest.approx(0.1, rel=1e-12)
+
+
+def known_curve_reference(samples, params):
+    """The per-training-point np.allclose loop that _known_curve replaced."""
+    for p, curve in samples:
+        if np.allclose([params.Tc, params.Gamma_c], [p.Tc, p.Gamma_c]):
+            return curve
+    return None
+
+
+def train_surrogate_reference(samples):
+    """train_surrogate behind the np.unique(axis=0) duplicate test it replaced."""
+    x = np.array([[p.Tc, p.Gamma_c] for p, _ in samples])
+    if len(x) >= 3 and np.unique(x, axis=0).shape[0] != len(x):
+        raise DuplicateInputs("coincident surrogate training inputs")
+    return train_surrogate(samples)
+
+
+def nudged(value, ulps):
+    return float(value + ulps * np.spacing(value))
+
+
+@st.composite
+def boundary_coordinate(draw, query):
+    """A training coordinate equal to *query*, far from it, or within a few
+    ulps of either edge of np.isclose's tolerance atol + rtol * |training|."""
+    kind = draw(st.sampled_from(["equal", "below", "above", "far"]))
+    if kind == "equal":
+        return query
+    if kind == "far":
+        return query * draw(st.sampled_from([0.5, 0.999, 1.001, 2.0]))
+    # solve query - b = +-(1e-8 + 1e-5 * b) for the training value b
+    edge = (query - 1e-8) / (1 + 1e-5) if kind == "below" else (query + 1e-8) / (1 - 1e-5)
+    return nudged(edge, draw(st.integers(-3, 3)))
+
+
+@st.composite
+def boundary_samples(draw):
+    query = TSLParams(draw(st.floats(100.0, 300.0)), draw(st.floats(20.0, 100.0)))
+    samples = [
+        (
+            TSLParams(
+                draw(boundary_coordinate(query.Tc)), draw(boundary_coordinate(query.Gamma_c))
+            ),
+            object(),
+        )
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    return samples, query
+
+
+def seeded_targets(seed, count):
+    """Off-design targets 15% inside BOX with peak CMOD Gamma_c / Tc <= 0.45."""
+    rng = np.random.default_rng(seed)
+    targets = []
+    while len(targets) < count:
+        tc, gc = rng.uniform(130.0, 270.0), rng.uniform(32.0, 88.0)
+        if gc / tc <= 0.45:
+            targets.append(TSLParams(float(tc), float(gc)))
+    return targets
+
+
+class TestBookkeepingReferences:
+    """The known-point and duplicate tests agree with the code they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(boundary_samples())
+    def test_known_curve_matches_allclose_loop(self, case):
+        samples, query = case
+        assert _known_curve(samples, query) is known_curve_reference(samples, query)
+
+    def test_known_curve_boundary_both_sides(self):
+        # up to four ulps either side of Tc's tolerance edge
+        train = TSLParams(200.0, 60.0)
+        edge = 200.0 + (1e-8 + 1e-5 * 200.0)
+        curve = object()
+        for ulps in range(-4, 5):
+            query = TSLParams(nudged(edge, ulps), 60.0)
+            expected = known_curve_reference([(train, curve)], query)
+            assert _known_curve([(train, curve)], query) is expected
+        assert _known_curve([(train, curve)], TSLParams(nudged(edge, -4), 60.0)) is curve
+        assert _known_curve([(train, curve)], TSLParams(nudged(edge, 4), 60.0)) is None
+
+    def test_known_curve_returns_first_hit(self):
+        first, second = object(), object()
+        samples = [(TSLParams(100.0, 20.0), object()), (TSLParams(200.0, 60.0), first),
+                   (TSLParams(200.0 * (1 + 1e-7), 60.0), second)]
+        assert _known_curve(samples, TSLParams(200.0, 60.0)) is first
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([100.0, 150.5, 300.0]), st.sampled_from([20.0, 47.25, 100.0])),
+            min_size=3,
+            max_size=9,
+        )
+    )
+    def test_duplicate_check_matches_unique(self, points):
+        curve = forward_model(TSLParams(200.0, 60.0))
+        samples = [(TSLParams(*p), curve) for p in points]
+        if np.unique(np.array(points), axis=0).shape[0] != len(points):
+            with pytest.raises(DuplicateInputs):
+                train_surrogate(samples)
+        else:
+            assert train_surrogate(samples).centres.shape == (len(points), 2)
+
+    def test_identification_bit_identical_to_references(self, monkeypatch):
+        base = forward_model(TSLParams(200.0, 60.0))
+        # 20 off-design targets, and two unreachable ones that re-propose
+        # known points (the allclose hit path)
+        targets = [forward_model(t) for t in seeded_targets(20261019, 20)] + [
+            ResponseCurve(cmod=base.cmod, load=base.load * f) for f in (3.0, 0.2)
+        ]
+
+        def identify_all():
+            runs = []
+            for target in targets:
+                calls = []
+
+                def forward(params, config):
+                    calls.append(params)
+                    return forward_model(params, config)
+
+                try:
+                    result = inverse_identify(target, BOX, forward=forward, tol=0.005, max_outer=15)
+                except (BoxTooSmall, czm.NoConvergence) as exc:
+                    result = (type(exc), str(exc))
+                runs.append((result, calls))
+            return runs
+
+        fast = identify_all()
+        monkeypatch.setattr(czm, "_known_curve", known_curve_reference)
+        monkeypatch.setattr(czm, "train_surrogate", train_surrogate_reference)
+        assert identify_all() == fast
+        assert sum(isinstance(result[0], TSLParams) for result, _ in fast) == 20
 
 
 class TestTargetIngestion:

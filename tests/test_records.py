@@ -1,9 +1,11 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from conftest import canonical_float
+from fempost._base import read_csv
 from fempost.filcodec import LogicalRecord, decode_stream, encode_stream
 from fempost.records import (
     ElementTable,
@@ -230,6 +232,23 @@ class TestCsvExport:
     def test_stress_csv_header(self):
         table = extract_stresses(stress_records([(1, 1, (1.0, 2.0, 3.0, 4.0))]))
         assert table.to_csv().splitlines()[0] == "element_id,integration_point,S11,S22,S33,S12"
+
+    def test_numpy_rows_round_trip(self, tmp_path):
+        # numpy 2 scalars repr as np.float64(...); every cell must be a plain number
+        rng = np.random.default_rng(17)
+        ids = np.arange(1, 6)
+        values = rng.normal(0.0, 100.0, size=(5, 6)) * 10.0 ** rng.integers(-30, 30, size=(5, 6))
+        tables = [
+            (NodeTable([(i, tuple(v[:2])) for i, v in zip(ids, values)]), values[:, :2]),
+            (NodalFieldTable(101, [(i, tuple(v[:3])) for i, v in zip(ids, values)]), values[:, :3]),
+            (StressTable([(i, np.int64(1), tuple(v)) for i, v in zip(ids, values)]), values),
+        ]
+        for table, expected in tables:
+            path = tmp_path / "table.csv"
+            path.write_text(table.to_csv())
+            back = read_csv(path)
+            assert np.array_equal(back[:, 0], ids)
+            assert np.array_equal(back[:, -expected.shape[1]:], expected)
 
 
 class TestCsvGolden:

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fempost.truss import (
     G_ACCEL,
@@ -17,6 +19,7 @@ from fempost.truss import (
     example_problem,
     solve_truss,
     truss_weight,
+    _displacements,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -298,3 +301,83 @@ class TestClosedForm:
         a, _ = optimize_truss(p, [0.0037, 0.0049])
         b, _ = optimize_truss(p, [p.area_max, p.area_max])
         assert a == b == optimize_truss(p)[0]
+
+
+def full_grid_sweep(problem, n):
+    """The sweep grid_sweep replaced: mask and arg-minimise the whole weight grid."""
+    areas = np.linspace(problem.area_min, problem.area_max, n)
+    a1, a2 = areas[:, None], areas[None, :]
+    ux, uy = _displacements(a1, a2, problem)
+    feasible = (-uy <= problem.d_max) & (-ux <= problem.d_max)
+    if not feasible.any():
+        raise Infeasible("no feasible point on the grid")
+    weight = G_ACCEL * problem.rho * problem.L * (a1 + SQRT2 * a2)
+    weight = np.where(feasible, weight, np.inf)
+    i, j = np.unravel_index(np.argmin(weight), weight.shape)
+    return (float(areas[i]), float(areas[j])), float(weight[i, j])
+
+
+def sweep_or_infeasible(sweep, problem, n):
+    try:
+        return sweep(problem, n)
+    except Infeasible:
+        return "infeasible"
+
+
+@st.composite
+def sweep_cases(draw):
+    """Problems whose area grid repeats values (ties in weight) and whose
+    displacement limit sits exactly on a grid point's |u_y| or |u_x|."""
+    base = example_problem()
+    n = draw(st.integers(1, 60))
+    area_min = base.area_min * draw(st.floats(0.5, 2.0))
+    area_max = draw(
+        st.one_of(
+            st.just(area_min),
+            st.integers(1, 40).map(lambda k: area_min + k * float(np.spacing(area_min))),
+            st.floats(1.0001, 10.0).map(lambda f: area_min * f),
+        )
+    )
+    p = replace(base, sigma_max=math.inf, area_min=area_min, area_max=area_max)
+    areas = np.linspace(area_min, area_max, n)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    ux, uy = _displacements(areas[i], areas[j], p)
+    d_max = draw(st.sampled_from([-uy, -ux, -uy * (1 + 1e-15), p.d_max, math.inf]))
+    return replace(p, d_max=float(d_max)), n
+
+
+class TestGridSweep:
+    """The first-feasible-column sweep against the full-grid sweep it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 200, 257])
+    def test_example_matches_full_grid(self, n):
+        p = example_problem()
+        assert sweep_or_infeasible(grid_sweep, p, n) == sweep_or_infeasible(full_grid_sweep, p, n)
+
+    def test_randomised_problems_match_full_grid(self):
+        base = example_problem()
+        rng = np.random.default_rng(20261019)
+        outcomes = set()
+        for _ in range(500):
+            f = rng.uniform(0.3, 3.0, size=4)
+            area_min = base.area_min * f[0]
+            p = replace(
+                base, sigma_max=math.inf, area_min=area_min,
+                area_max=area_min * (1 + 10 * f[1]), d_max=base.d_max * f[2], rho=base.rho * f[3],
+            )
+            n = int(rng.integers(1, 261))
+            expected = sweep_or_infeasible(full_grid_sweep, p, n)
+            assert sweep_or_infeasible(grid_sweep, p, n) == expected
+            outcomes.add(expected == "infeasible")
+        assert outcomes == {True, False}
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_cases())
+    def test_ties_and_boundary_points_match_full_grid(self, case):
+        p, n = case
+        assert sweep_or_infeasible(grid_sweep, p, n) == sweep_or_infeasible(full_grid_sweep, p, n)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, "200"], ids=repr)
+    def test_bad_grid_size_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be"):
+            grid_sweep(example_problem(), n)

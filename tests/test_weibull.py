@@ -392,8 +392,15 @@ class TestFit:
         assert np.isfinite([params.sigma_th, params.m, params.sigma_u]).all()
 
     @pytest.mark.parametrize(
-        "budget", [{"tol": math.nan}, {"tol": -1e-4}, {"max_iter": 0}, {"max_iter": -3}],
-        ids=["tol-nan", "tol-negative", "budget-zero", "budget-negative"],
+        "budget",
+        [
+            {"tol": math.nan}, {"tol": -1e-4}, {"max_iter": 0}, {"max_iter": -3},
+            {"max_iter": 2.5}, {"max_iter": True},
+        ],
+        ids=[
+            "tol-nan", "tol-negative", "budget-zero", "budget-negative",
+            "budget-fraction", "budget-bool",
+        ],
     )
     def test_bad_tol_or_budget_rejected_before_work(self, budget, monkeypatch):
         monkeypatch.setattr(weibull, "weibull_stress", pytest.fail)

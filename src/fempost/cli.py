@@ -54,22 +54,22 @@ def cmd_decode(args) -> int:
 def cmd_extract(args) -> int:
     stream = filcodec.decode_stream(_read_flat(args.input))
     key = args.key
+    if key == records.KEY_NODES:
+        text = records.extract_nodes(stream).to_csv()
+    elif key == records.KEY_ELEMENTS:
+        text = records.extract_elements(stream).to_csv()
+    elif key in (records.KEY_DISPLACEMENTS, records.KEY_REACTIONS):
+        text = records.extract_nodal_field(stream, key).to_csv()
+    elif key == records.KEY_STRESS:
+        text = records.extract_stresses(stream).to_csv()
+    else:
+        text = "attributes\n" + "".join(
+            " ".join(_fmt(a) if isinstance(a, float) else str(a) for a in attrs) + "\n"
+            for attrs in records.extract_raw(stream, key)
+        )
+    # the whole text is built first, so a bad record leaves an existing output untouched
     with _out_stream(args.output) as out:
-        if key == records.KEY_NODES:
-            records.extract_nodes(stream).to_csv(out)
-        elif key == records.KEY_ELEMENTS:
-            records.extract_elements(stream).to_csv(out)
-        elif key in (records.KEY_DISPLACEMENTS, records.KEY_REACTIONS):
-            records.extract_nodal_field(stream, key).to_csv(out)
-        elif key == records.KEY_STRESS:
-            records.extract_stresses(stream).to_csv(out)
-        else:
-            rows = records.extract_raw(stream, key)
-            out.write("attributes\n")
-            for attrs in rows:
-                out.write(" ".join(
-                    _fmt(a) if isinstance(a, float) else str(a) for a in attrs
-                ) + "\n")
+        out.write(text)
     return 0
 
 
@@ -131,6 +131,8 @@ def cmd_weibull_fit(args) -> int:
 
 
 def cmd_hazard(args) -> int:
+    if args.output and not args.mesh:
+        raise ValueError("--mesh is required for grid export")
     fields = weibull.load_element_fields_csv(args.fields)
     level = args.level if args.level is not None else fields[-1].load_level
     field = next((f for f in fields if f.load_level == level), None)
@@ -138,20 +140,20 @@ def cmd_hazard(args) -> int:
         raise ValueError(f"no element field at load level {level}")
     params = weibull.WeibullParams(args.sigma_th, args.m, args.sigma_u, args.v0)
     pf, log_pf = weibull.hazard_map(field, params)
-    if args.csv or not args.output:
-        with _out_stream(args.csv) as out:
-            out.write("element_index,Pf,log10_Pf\n")
-            for i, (p, lp) in enumerate(zip(pf, log_pf)):
-                out.write(f"{i},{_fmt(p)},{_fmt(lp)}\n")
+    # the grid export checks the mesh before it opens its file, so it runs
+    # before the CSV is written
     if args.output:
-        if not args.mesh:
-            raise ValueError("--mesh is required for grid export")
         stream = filcodec.decode_stream(filcodec.fil_to_string(args.mesh))
         nodes = records.extract_nodes(stream)
         elements = records.extract_elements(stream)
         gridio.write_unstructured_grid(
             args.output, nodes, elements, "log10_Pf", log_pf
         )
+    if args.csv or not args.output:
+        with _out_stream(args.csv) as out:
+            out.write("element_index,Pf,log10_Pf\n")
+            for i, (p, lp) in enumerate(zip(pf, log_pf)):
+                out.write(f"{i},{_fmt(p)},{_fmt(lp)}\n")
     return 0
 
 

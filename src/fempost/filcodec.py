@@ -16,9 +16,14 @@ The item grammar, which the decoder matches and the encoder writes:
 * string  -- ``A`` and exactly 8 characters, blank-padded on the right.
 
 A record is ``*``, an integer item count >= 2, an integer key >= 0, then the
-attribute items.  Anything else raises a positioned :class:`FilCodecError`
-subclass.  Non-finite floats are rejected both ways: the encoder refuses NaN
-and infinity, and the decoder refuses a field that overflows a double.
+attribute items.  Every grammar or encode failure raises one
+:class:`FilCodecError` (only :func:`str8` raises ``ValueError``, for a string
+longer than 8).  A decode failure carries the flat-stream offset where the
+grammar fails in ``.offset`` and ends its message ``(stream offset N)``: the
+record's ``*`` for a bad header, otherwise the item that does not match, which
+for a record cut off by the end of the stream is the item where it ends.
+Non-finite floats are rejected both ways: the encoder refuses NaN and
+infinity, and the decoder refuses a field that overflows a double.
 
 Precision: a float item carries 16 significant digits (15 when a negative
 value has a 3-digit exponent), so encode -> decode returns a double within
@@ -46,14 +51,6 @@ from ._base import FempostError
 __all__ = [
     "LINE_WIDTH",
     "FilCodecError",
-    "UnknownItemMarker",
-    "MalformedWidth",
-    "MalformedInteger",
-    "MalformedFloat",
-    "TruncatedItem",
-    "BadRecordHeader",
-    "AttributeUnderrun",
-    "InvariantViolation",
     "LogicalRecord",
     "str8",
     "fil_to_string",
@@ -69,45 +66,14 @@ LINE_WIDTH = 80
 
 
 class FilCodecError(FempostError):
-    """Base class for codec failures.  Carries the flat-stream offset."""
+    """A decode or encode failure; ``.offset`` is the flat-stream offset of a
+    decode failure and None for an encode failure."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
             message = f"{message} (stream offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class UnknownItemMarker(FilCodecError):
-    """Leading character of an item is not one of I, D, A."""
-
-
-class MalformedWidth(FilCodecError):
-    """Integer width field is not a 1-99 integer."""
-
-
-class MalformedInteger(FilCodecError):
-    """Integer digits are not exactly the announced width of canonical digits."""
-
-
-class MalformedFloat(FilCodecError):
-    """22-character float field is outside the grammar or overflows a double."""
-
-
-class TruncatedItem(FilCodecError):
-    """Stream ends in the middle of a data item."""
-
-
-class BadRecordHeader(FilCodecError):
-    """Record length or key item is not a valid integer item."""
-
-
-class AttributeUnderrun(FilCodecError):
-    """Stream ends before the declared number of attributes is read."""
-
-
-class InvariantViolation(FilCodecError):
-    """Record to encode has a negative key."""
 
 
 def str8(text: str) -> str:
@@ -165,9 +131,6 @@ _FLOAT = r"D((?= *-?[0-9]\.[0-9]+[ED])(?:[^ED]{18}[ED][-+][0-9]{2}|[^ED]{17}[ED]
 _ITEM = re.compile(f"({_INTEGER})|{_FLOAT}|A(.{{8}})", re.DOTALL)
 #: Record header: ``*``, an item count >= 2, then a key >= 0.
 _HEADER = re.compile(rf"\*(?!I 1[01]|I..-)({_INTEGER})(?!I..-)({_INTEGER})")
-#: Size of the item a marker opens, and the error when it fails the grammar;
-#: an integer with a valid width field is sized by it instead.
-_SHAPES = {"I": (3, MalformedWidth), "D": (23, MalformedFloat), "A": (9, TruncatedItem)}
 
 
 def _value(match: re.Match):
@@ -180,19 +143,14 @@ def _value(match: re.Match):
     value = float(match[2].replace("D", "E"))
     if isfinite(value):
         return value
-    raise MalformedFloat(f"float field {match[2]!r} overflows a double", match.start())
+    raise FilCodecError(f"float field {match[2]!r} overflows a double", match.start())
 
 
 def _item_error(stream: str, position: int) -> FilCodecError:
-    """Say why the item at *position* does not match the grammar."""
-    marker = stream[position : position + 1]
-    size, error = _SHAPES.get(marker, (1, UnknownItemMarker))
-    width = _WIDTHS.get(stream[position + 1 : position + 3])
-    if marker == "I" and width:
-        size, error = 3 + width, MalformedInteger
-    if position + size > len(stream):
-        return TruncatedItem("stream ends inside a data item", position)
-    return error(f"data item {stream[position : position + size]!r} is malformed", position)
+    """Quote the text at *position*, where no item matches the grammar."""
+    if position >= len(stream):
+        return FilCodecError("stream ends before a data item", position)
+    return FilCodecError(f"no data item at {stream[position : position + 23]!r}", position)
 
 
 def decode_item(stream: str, position: int):
@@ -207,8 +165,8 @@ def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
     """Decode a flat (line-break-free) character stream into logical records.
 
     Blank padding after the last record is ignored.  A garbled record raises a
-    positioned :class:`FilCodecError` subclass; with ``lenient=True`` the
-    decoder instead drops the record and resynchronizes on the next asterisk.
+    positioned :class:`FilCodecError`; with ``lenient=True`` the decoder
+    instead drops the record and resynchronizes on the next asterisk.
     """
     if "\n" in flat or "\r" in flat:
         raise FilCodecError("flat stream must not contain line breaks")
@@ -219,16 +177,13 @@ def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
         try:
             head = header(flat, pos)
             if head is None:
-                raise BadRecordHeader(f"no record header at {flat[pos : pos + 12]!r}", pos)
+                raise FilCodecError(f"no record header at {flat[pos : pos + 12]!r}", pos)
             end, count = head.end(), int(head[1][3:]) - 2
             attributes = []
             for _ in range(count):
                 match = item(flat, end)
                 if match is None:
-                    error = _item_error(flat, end)
-                    if isinstance(error, TruncatedItem):
-                        error = AttributeUnderrun(f"stream ends inside {count} attributes", pos)
-                    raise error
+                    raise _item_error(flat, end)
                 attributes.append(_value(match))
                 end = match.end()
         except FilCodecError:
@@ -299,7 +254,7 @@ def encode_item(value) -> str:
 def encode_record(record: LogicalRecord) -> str:
     """Encode one logical record as a flat character string."""
     if record.key < 0:
-        raise InvariantViolation(f"record key {record.key} < 0")
+        raise FilCodecError(f"record key {record.key} < 0")
     return "".join(
         (
             "*",

@@ -1,8 +1,8 @@
 """Legacy ASCII unstructured-grid export (VTK DataFile version 3.0 dialect).
 
 Writes points, cells and one cell scalar so hazard maps can be opened in any
-standard mesh viewer.  Only the handful of planar/solid cell types produced
-by the record extractors are mapped.
+standard mesh viewer.  The cell type follows from the node count and whether
+the label names a ``C3D`` solid; only the types the extractors produce map.
 """
 
 from __future__ import annotations
@@ -11,13 +11,15 @@ import numpy as np
 
 __all__ = ["write_unstructured_grid"]
 
-# node-count -> VTK cell type id (linear + quadratic variants)
+# (solid label, node count) -> VTK cell type id
 _CELL_TYPES = {
-    2: 3,    # line
-    3: 5,    # triangle
-    4: 9,    # quad
-    6: 22,   # quadratic triangle
-    8: 23,   # quadratic quad
+    (False, 2): 3,    # line
+    (False, 3): 5,    # triangle
+    (False, 4): 9,    # quad
+    (False, 6): 22,   # quadratic triangle
+    (False, 8): 23,   # quadratic quad
+    (True, 4): 10,    # tetrahedron
+    (True, 8): 12,    # hexahedron
 }
 
 
@@ -44,8 +46,7 @@ def write_unstructured_grid(path, nodes, elements, scalar_name, values):
         xyz = tuple(coords) + (0.0,) * (3 - len(coords))
         lines.append(" ".join(f"{c:.10g}" for c in xyz))
 
-    cell_sizes = [len(conn) for _, _, conn in elements.rows]
-    total = sum(n + 1 for n in cell_sizes)
+    total = sum(len(conn) + 1 for _, _, conn in elements.rows)
     lines.append(f"CELLS {len(elements.rows)} {total}")
     for _, _, conn in elements.rows:
         try:
@@ -55,10 +56,11 @@ def write_unstructured_grid(path, nodes, elements, scalar_name, values):
         lines.append(" ".join(str(v) for v in [len(ids)] + ids))
 
     lines.append(f"CELL_TYPES {len(elements.rows)}")
-    for n in cell_sizes:
-        if n not in _CELL_TYPES:
-            raise ValueError(f"no cell type mapping for {n}-node elements")
-        lines.append(str(_CELL_TYPES[n]))
+    for _, etype, conn in elements.rows:
+        cell = _CELL_TYPES.get((etype.startswith("C3D"), len(conn)))
+        if cell is None:
+            raise ValueError(f"no cell type mapping for {len(conn)}-node {etype} elements")
+        lines.append(str(cell))
 
     lines.append(f"CELL_DATA {len(elements.rows)}")
     lines.append(f"SCALARS {scalar_name} double 1")

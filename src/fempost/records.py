@@ -33,7 +33,6 @@ from .filcodec import LogicalRecord, str8
 
 __all__ = [
     "MalformedRecord",
-    "OrphanStressRecord",
     "NodeTable",
     "ElementTable",
     "NodalFieldTable",
@@ -58,11 +57,8 @@ KEY_STRESS = 11
 
 
 class MalformedRecord(FempostError):
-    """A record matching the requested key has an unexpected attribute layout."""
-
-
-class OrphanStressRecord(FempostError):
-    """A stress record appeared before any element header record."""
+    """A record matching the requested key has an unexpected attribute layout,
+    or a stress record comes before any element header record."""
 
 
 class _Table:
@@ -235,9 +231,7 @@ def extract_stresses(stream) -> StressTable:
             header = (eid, ip)
         elif rec.key == KEY_STRESS:
             if header is None:
-                raise OrphanStressRecord(
-                    "stress record with no preceding element header"
-                )
+                raise MalformedRecord("stress record with no preceding element header")
             comps = tuple(
                 _require(float, a, "stress component", rec) for a in rec.attributes
             )

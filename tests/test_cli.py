@@ -153,6 +153,30 @@ class TestDomainErrors:
         assert code == 2
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    def test_failed_extract_leaves_output_alone(self, capsys, tmp_path):
+        from fempost.filcodec import LogicalRecord, write_fil
+
+        fil = tmp_path / "bad.fil"
+        write_fil([LogicalRecord(1901, (1.5, 0.0))], fil)  # float node id
+        out = tmp_path / "nodes.csv"
+        out.write_text("node_id,x1,x2\n1,0.0,0.0\n")
+        before = out.read_bytes()
+        code, _, err = run_cli(capsys, "extract", str(fil), "--key", "1901", "-o", str(out))
+        assert code == 2 and "node id is not an integer" in err
+        assert out.read_bytes() == before
+
+    def test_grid_output_without_mesh_writes_nothing(self, capsys, tmp_path):
+        fields = tmp_path / "f.csv"
+        fields.write_text("load_level,element_id,sigma1,volume\n1.0,1,2200.0,1.0\n")
+        csv_out, vtk = tmp_path / "pf.csv", tmp_path / "grid.vtk"
+        code, _, err = run_cli(
+            capsys, "hazard", "--fields", str(fields),
+            "--sigma-th", "1000", "--m", "4", "--sigma-u", "1200", "--v0", "1.0",
+            "--csv", str(csv_out), "-o", str(vtk),
+        )
+        assert code == 2 and "--mesh is required" in err
+        assert not csv_out.exists() and not vtk.exists()
+
 
 class TestSynthDecode:
     def test_round_trip_pipeline(self, capsys, tmp_path):

@@ -12,16 +12,8 @@ from hypothesis import strategies as st
 from conftest import PRINTABLE, random_stream
 from fempost.filcodec import (
     LINE_WIDTH,
-    AttributeUnderrun,
-    BadRecordHeader,
     FilCodecError,
-    InvariantViolation,
     LogicalRecord,
-    MalformedFloat,
-    MalformedInteger,
-    MalformedWidth,
-    TruncatedItem,
-    UnknownItemMarker,
     decode_item,
     decode_stream,
     encode_item,
@@ -86,27 +78,27 @@ class TestDecodeItem:
         assert decode_item("I 2-7", 0) == (-7, 5)
 
     def test_unknown_marker(self):
-        with pytest.raises(UnknownItemMarker):
+        with pytest.raises(FilCodecError):
             decode_item("X123", 0)
 
     def test_malformed_width(self):
-        with pytest.raises(MalformedWidth):
+        with pytest.raises(FilCodecError):
             decode_item("Ixx12", 0)
 
     def test_malformed_float(self):
-        with pytest.raises(MalformedFloat):
+        with pytest.raises(FilCodecError):
             decode_item("D" + "z" * 22, 0)
 
     def test_truncated(self):
-        with pytest.raises(TruncatedItem):
+        with pytest.raises(FilCodecError):
             decode_item("I 4190", 0)
-        with pytest.raises(TruncatedItem):
+        with pytest.raises(FilCodecError):
             decode_item("D 1.0", 0)
-        with pytest.raises(TruncatedItem):
+        with pytest.raises(FilCodecError):
             decode_item("AHEL", 0)
 
     def test_errors_carry_offset(self):
-        with pytest.raises(UnknownItemMarker) as exc:
+        with pytest.raises(FilCodecError) as exc:
             decode_item("  X", 2)
         assert exc.value.offset == 2
 
@@ -124,21 +116,27 @@ class TestDecodeStream:
         assert decode_stream("") == []
 
     def test_bad_header_positioned(self):
-        with pytest.raises(BadRecordHeader) as exc:
+        with pytest.raises(FilCodecError) as exc:
             decode_stream("*I 13I 219I 222*X")
         assert exc.value.offset == 15
 
     def test_attribute_underrun(self):
-        with pytest.raises(AttributeUnderrun):
+        # a record cut off by the end of the stream is reported at the item
+        # where the stream ends, not at the record's asterisk
+        with pytest.raises(FilCodecError) as exc:
             decode_stream("*I 15I 219I 222")
+        assert exc.value.offset == 15
+        with pytest.raises(FilCodecError) as exc:
+            decode_stream("*I 14I 219I 222I 4190")
+        assert exc.value.offset == 15
 
     def test_negative_key_rejected(self):
-        with pytest.raises(BadRecordHeader):
+        with pytest.raises(FilCodecError):
             decode_stream("*I 13I 2-5I 222")
 
     @pytest.mark.parametrize("flat", ["*I 10I 10", "*I 11I 10", "*I 2-1I 10"])
     def test_item_count_below_two_rejected(self, flat):
-        with pytest.raises(BadRecordHeader) as exc:
+        with pytest.raises(FilCodecError) as exc:
             decode_stream(flat)
         assert exc.value.offset == 0
 
@@ -148,15 +146,13 @@ class TestDecodeStream:
         assert stream == [LogicalRecord(19, (22,))]
 
     @pytest.mark.parametrize(
-        "bad_item, error",
-        [("D" + "z" * 22, MalformedFloat), ("X" + "z" * 22, UnknownItemMarker)],
-        ids=["malformed-float", "unknown-marker"],
+        "bad_item", ["D" + "z" * 22, "X" + "z" * 22], ids=["malformed-float", "unknown-marker"]
     )
-    def test_lenient_resync_inside_attributes(self, bad_item, error):
+    def test_lenient_resync_inside_attributes(self, bad_item):
         good = encode_record(LogicalRecord(19, (22,)))
         garbled = "*I 13I 219" + bad_item + good
         assert decode_stream(garbled, lenient=True) == [LogicalRecord(19, (22,))]
-        with pytest.raises(error):
+        with pytest.raises(FilCodecError):
             decode_stream(garbled)
 
     def test_rejects_line_breaks(self):
@@ -181,23 +177,22 @@ def in_grammar(item: str) -> bool:
     return False
 
 
-#: Items outside the grammar that int() or float() would read: the error
-#: class each raises.
+#: Items outside the grammar that int() or float() would read.
 OUTSIDE_GRAMMAR = [
-    ("I 31_0", MalformedInteger),
-    ("I 3+12", MalformedInteger),
-    ("I 3 12", MalformedInteger),
-    ("I 3١٢٣", MalformedInteger),
-    ("I 2-0", MalformedInteger),
-    ("I 3007", MalformedInteger),
-    ("I+3123", MalformedWidth),
-    ("I ٣123", MalformedWidth),
-    ("D" + "1.5".rjust(22), MalformedFloat),
-    ("D" + "1_0.5".rjust(22), MalformedFloat),
-    ("D" + "NAN".rjust(22), MalformedFloat),
-    ("D" + "INF".rjust(22), MalformedFloat),
-    ("D" + "1.500000000000000e+00".rjust(22), MalformedFloat),
-    ("D1.797693134862316E+308", MalformedFloat),
+    "I 31_0",
+    "I 3+12",
+    "I 3 12",
+    "I 3١٢٣",
+    "I 2-0",
+    "I 3007",
+    "I+3123",
+    "I ٣123",
+    "D" + "1.5".rjust(22),
+    "D" + "1_0.5".rjust(22),
+    "D" + "NAN".rjust(22),
+    "D" + "INF".rjust(22),
+    "D" + "1.500000000000000e+00".rjust(22),
+    "D1.797693134862316E+308",
 ]
 
 #: Header of a record with one attribute, which follows it at offset 9.
@@ -206,13 +201,13 @@ TAIL = LogicalRecord(2, (7,))
 
 
 class TestGrammar:
-    @pytest.mark.parametrize("item, error", OUTSIDE_GRAMMAR, ids=[repr(i) for i, _ in OUTSIDE_GRAMMAR])
-    def test_outside_rejected_at_item_start(self, item, error):
+    @pytest.mark.parametrize("item", OUTSIDE_GRAMMAR, ids=repr)
+    def test_outside_rejected_at_item_start(self, item):
         assert not in_grammar(item)
-        with pytest.raises(error) as exc:
+        with pytest.raises(FilCodecError) as exc:
             decode_item("**" + item, 2)
         assert exc.value.offset == 2
-        with pytest.raises(error) as exc:
+        with pytest.raises(FilCodecError) as exc:
             decode_stream(ONE_ATTRIBUTE + item)
         assert exc.value.offset == len(ONE_ATTRIBUTE)
 
@@ -279,7 +274,7 @@ class TestEncode:
         assert LogicalRecord(0).length == 2
 
     def test_negative_key_rejected(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(FilCodecError):
             encode_record(LogicalRecord(-1, ()))
 
     def test_float_item_is_23_chars(self):

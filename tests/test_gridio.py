@@ -86,3 +86,23 @@ class TestWriteUnstructuredGrid:
         write_unstructured_grid(path, nodes, elements, "s", np.array([1.0]))
         _, _, types, _, _ = parse_legacy_grid(path.read_text())
         assert types == [23]
+
+    @pytest.mark.parametrize(
+        "label, n_nodes, vtk_type",
+        [("C3D8", 8, 12), ("C3D8R", 8, 12), ("C3D4", 4, 10), ("CPE8", 8, 23), ("CPS4", 4, 9)],
+    )
+    def test_cell_type_from_label(self, tmp_path, label, n_nodes, vtk_type):
+        nodes = NodeTable([(i, (float(i), 0.0, 0.0)) for i in range(1, 9)])
+        elements = ElementTable([(1, label, tuple(range(1, n_nodes + 1)))])
+        path = tmp_path / "cell.vtk"
+        write_unstructured_grid(path, nodes, elements, "s", [1.0])
+        _, _, types, _, _ = parse_legacy_grid(path.read_text())
+        assert types == [vtk_type]
+
+    def test_unmapped_solid_names_label(self, tmp_path):
+        nodes = NodeTable([(i, (float(i), 0.0, 0.0)) for i in range(1, 21)])
+        elements = ElementTable([(1, "C3D20R", tuple(range(1, 21)))])
+        path = tmp_path / "cell.vtk"
+        with pytest.raises(ValueError, match="C3D20R"):
+            write_unstructured_grid(path, nodes, elements, "s", [1.0])
+        assert not path.exists()

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import canonical_float
-from fempost._base import read_csv
+from fempost._base import FempostError, read_csv
 from fempost.filcodec import LogicalRecord, decode_stream, encode_stream
 from fempost.records import (
     ElementTable,
     MalformedRecord,
     NodalFieldTable,
     NodeTable,
-    OrphanStressRecord,
     StressTable,
     element_records,
     extract_elements,
@@ -117,7 +116,7 @@ class TestExtractStresses:
         assert table.rows == [(7, 1, (1.0, 2.0, 3.0, 4.0))]
 
     def test_orphan_stress(self):
-        with pytest.raises(OrphanStressRecord):
+        with pytest.raises(MalformedRecord):
             extract_stresses([LogicalRecord(11, (1.0, 2.0, 3.0, 4.0))])
 
     def test_mixed_widths_rejected(self):
@@ -157,6 +156,47 @@ class TestExtractRaw:
         for key in range(5):
             expected = sum(1 for r in recs if r.key == key)
             assert len(extract_raw(stream, key)) == expected
+
+
+#: One malformed record of each key an extractor reads.
+MALFORMED = {
+    1901: LogicalRecord(1901, (1.5, 0.0)),  # float node id
+    1900: LogicalRecord(1900, (2.5, "CPE4    ", 1)),  # float element id
+    101: LogicalRecord(101, ()),  # no node id
+    104: LogicalRecord(104, (3, "ABCDEFGH")),  # string component
+    1: LogicalRecord(1, (1, 0)),  # integration point 0
+    11: LogicalRecord(11, (1.0, 2.0, 3.0, 4.0)),  # orphan: no header before it
+}
+
+
+class TestPerKeyIsolation:
+    """Each extractor fails on a malformed record of its own keys and ignores
+    one of any other key."""
+
+    @pytest.mark.parametrize(
+        "extract, own_keys",
+        [
+            (extract_nodes, {1901}),
+            (extract_elements, {1900}),
+            (lambda stream: extract_nodal_field(stream, 101), {101}),
+            (lambda stream: extract_nodal_field(stream, 104), {104}),
+            (extract_stresses, {1, 11}),
+        ],
+        ids=["nodes", "elements", "displacements", "reactions", "stresses"],
+    )
+    def test_ignores_malformed_records_of_other_keys(self, extract, own_keys):
+        good = (
+            node_records([(1, (0.0, 0.0)), (2, (1.0, 0.0))])
+            + element_records([(1, "CPE4", (1, 2, 2, 1))])
+            + nodal_field_records(101, [(1, (0.5, 0.0))])
+            + nodal_field_records(104, [(2, (0.0, -3.0))])
+            + stress_records([(1, 1, (1.0, 2.0, 3.0, 4.0))])
+        )
+        others = [rec for key, rec in MALFORMED.items() if key not in own_keys]
+        assert extract(others + good) == extract(good)
+        for key in own_keys:
+            with pytest.raises(FempostError):
+                extract([MALFORMED[key]] + good)
 
 
 class TestGeneratorDuality:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,29 @@ def _read_flat(path) -> str:
 
 def _out_stream(path):
     return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
+
+
+def _write_files(outputs) -> None:
+    """Write each ``(path, text)`` pair, or leave every file as it was.
+
+    Every file is opened without truncating before any is written; if one
+    cannot be opened, the files this call created are removed again.
+    """
+    with ExitStack() as stack:
+        created, handles = [], []
+        try:
+            for path, _ in outputs:
+                if not Path(path).exists():
+                    created.append(Path(path))
+                handles.append(stack.enter_context(open(path, "a")))
+        except OSError:
+            stack.close()
+            for path in created:
+                path.unlink(missing_ok=True)
+            raise
+        for fh, (_, text) in zip(handles, outputs):
+            fh.truncate(0)
+            fh.write(text)
 
 
 def cmd_decode(args) -> int:
@@ -140,20 +163,25 @@ def cmd_hazard(args) -> int:
         raise ValueError(f"no element field at load level {level}")
     params = weibull.WeibullParams(args.sigma_th, args.m, args.sigma_u, args.v0)
     pf, log_pf = weibull.hazard_map(field, params)
-    # the grid export checks the mesh before it opens its file, so it runs
-    # before the CSV is written
+    # both outputs are built before either file is opened
+    files = []
     if args.output:
         stream = filcodec.decode_stream(filcodec.fil_to_string(args.mesh))
         nodes = records.extract_nodes(stream)
         elements = records.extract_elements(stream)
-        gridio.write_unstructured_grid(
-            args.output, nodes, elements, "log10_Pf", log_pf
-        )
+        grid = gridio.unstructured_grid_text(nodes, elements, "log10_Pf", log_pf)
+        files.append((args.output, grid))
+    table = None
     if args.csv or not args.output:
-        with _out_stream(args.csv) as out:
-            out.write("element_index,Pf,log10_Pf\n")
-            for i, (p, lp) in enumerate(zip(pf, log_pf)):
-                out.write(f"{i},{_fmt(p)},{_fmt(lp)}\n")
+        table = "element_index,Pf,log10_Pf\n" + "".join(
+            f"{i},{_fmt(p)},{_fmt(lp)}\n" for i, (p, lp) in enumerate(zip(pf, log_pf))
+        )
+        if args.csv not in (None, "-"):
+            files.append((args.csv, table))
+            table = None
+    _write_files(files)
+    if table is not None:
+        sys.stdout.write(table)
     return 0
 
 

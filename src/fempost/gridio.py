@@ -1,7 +1,8 @@
 """Legacy ASCII unstructured-grid export (VTK DataFile version 3.0 dialect).
 
-Writes points, cells and one cell scalar so hazard maps can be opened in any
-standard mesh viewer.  The cell type follows from the node count and whether
+Builds points, cells and one cell scalar as text, so hazard maps can be
+opened in any standard mesh viewer; the writer opens its file only once the
+text is complete.  The cell type follows from the node count and whether
 the label names a ``C3D`` solid; only the types the extractors produce map.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_unstructured_grid"]
+__all__ = ["unstructured_grid_text", "write_unstructured_grid"]
 
 # (solid label, node count) -> VTK cell type id
 _CELL_TYPES = {
@@ -23,8 +24,8 @@ _CELL_TYPES = {
 }
 
 
-def write_unstructured_grid(path, nodes, elements, scalar_name, values):
-    """Write a legacy unstructured-grid file with one cell scalar.
+def unstructured_grid_text(nodes, elements, scalar_name, values) -> str:
+    """Return a legacy unstructured-grid file with one cell scalar as text.
 
     *nodes* is a NodeTable, *elements* an ElementTable; *values* holds one
     scalar per element, in element-table order.
@@ -68,5 +69,12 @@ def write_unstructured_grid(path, nodes, elements, scalar_name, values):
     for v in values:
         lines.append(f"{v:.10g}")
 
+    return "\n".join(lines) + "\n"
+
+
+def write_unstructured_grid(path, nodes, elements, scalar_name, values):
+    """Write :func:`unstructured_grid_text` to *path*; nothing is opened
+    before the text is complete."""
+    text = unstructured_grid_text(nodes, elements, scalar_name, values)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

@@ -93,6 +93,20 @@ def _header_only_fields(tmp_path):
     ]
 
 
+def _hazard_on_mesh(capsys, tmp_path):
+    """Arguments of a hazard run on a synthesized one-element mesh, outputs
+    not yet given."""
+    mesh = tmp_path / "mesh.fil"
+    run_cli(capsys, "synth", "--nodes", "4", "--elements", "1", "-o", str(mesh))
+    fields = tmp_path / "f.csv"
+    fields.write_text("load_level,element_id,sigma1,volume\n1.0,1,2200.0,1.0\n")
+    return [
+        "hazard", "--fields", str(fields),
+        "--sigma-th", "1000", "--m", "4", "--sigma-u", "1200", "--v0", "1.0",
+        "--mesh", str(mesh),
+    ]
+
+
 class TestDomainErrors:
     @pytest.mark.parametrize(
         "make_argv",
@@ -177,6 +191,42 @@ class TestDomainErrors:
         assert code == 2 and "--mesh is required" in err
         assert not csv_out.exists() and not vtk.exists()
 
+    @pytest.mark.parametrize("grid_exists", [False, True], ids=["new-grid", "existing-grid"])
+    def test_unopenable_csv_leaves_grid_alone(self, capsys, tmp_path, grid_exists):
+        vtk = tmp_path / "g.vtk"
+        if grid_exists:
+            vtk.write_text("an earlier grid\n")
+        code, _, err = run_cli(
+            capsys, *_hazard_on_mesh(capsys, tmp_path),
+            "-o", str(vtk), "--csv", str(tmp_path / "nodir" / "pf.csv"),
+        )
+        assert code == 2 and "No such file or directory" in err
+        if grid_exists:
+            assert vtk.read_text() == "an earlier grid\n"
+        else:
+            assert not vtk.exists()
+
+    def test_unopenable_grid_leaves_csv_alone(self, capsys, tmp_path):
+        csv_out = tmp_path / "pf.csv"
+        csv_out.write_text("an earlier table\n")
+        code, _, _ = run_cli(
+            capsys, *_hazard_on_mesh(capsys, tmp_path),
+            "-o", str(tmp_path / "nodir" / "g.vtk"), "--csv", str(csv_out),
+        )
+        assert code == 2
+        assert csv_out.read_text() == "an earlier table\n"
+
+    def test_hazard_replaces_longer_outputs(self, capsys, tmp_path):
+        argv = _hazard_on_mesh(capsys, tmp_path)
+        old = (tmp_path / "old.vtk", tmp_path / "old.csv")
+        new = (tmp_path / "new.vtk", tmp_path / "new.csv")
+        for path in old:
+            path.write_text("x" * 5000 + "\n")
+        for grid, table in (old, new):
+            code, _, _ = run_cli(capsys, *argv, "-o", str(grid), "--csv", str(table))
+            assert code == 0
+        assert [p.read_bytes() for p in old] == [p.read_bytes() for p in new]
+
 
 class TestSynthDecode:
     def test_round_trip_pipeline(self, capsys, tmp_path):
@@ -208,18 +258,17 @@ class TestSynthDecode:
         from fempost import filcodec
 
         calls = []
-        encode_record = filcodec.encode_record
+        encode_stream = filcodec.encode_stream
 
-        def counting_encode_record(record):
-            calls.append(record)
-            return encode_record(record)
+        def counting_encode_stream(records):
+            calls.append(records)
+            return encode_stream(records)
 
-        monkeypatch.setattr(filcodec, "encode_record", counting_encode_record)
+        monkeypatch.setattr(filcodec, "encode_stream", counting_encode_stream)
         fil = tmp_path / "synth.fil"
         code, _, _ = run_cli(capsys, "synth", "--nodes", "12", "--seed", "7", "-o", str(fil))
         assert code == 0
-        n_records = len(filcodec.decode_stream(filcodec.fil_to_string(fil)))
-        assert len(calls) == n_records
+        assert len(calls) == 1
         _, out, _ = run_cli(capsys, "synth", "--nodes", "12", "--seed", "7")
         assert fil.read_bytes() == out.encode("ascii")
 

@@ -287,7 +287,7 @@ class TestEncode:
 
     def test_str8_pads(self):
         assert encode_item("AB") == "AAB      "
-        with pytest.raises(ValueError):
+        with pytest.raises(FilCodecError):
             str8("TOO LONG STRING")
 
     def test_line_slicing(self):
@@ -333,6 +333,7 @@ ENCODE_REJECTS = [
     (math.nan, "cannot encode nan as a data item"),
     (math.inf, "cannot encode inf as a data item"),
     (-math.inf, "cannot encode -inf as a data item"),
+    ("ABCDEFGHI", "string item longer than 8 characters: 'ABCDEFGHI'"),
 ]
 
 #: The two positive and four negative doubles whose 16- or 15-digit field,
@@ -377,6 +378,127 @@ class TestEncodeGoldens:
     def test_top_of_range_stays_finite(self, x):
         got = decode_item(encode_item(x), 0)[0]
         assert math.isfinite(got) and abs(got - x) <= 2.0**-45 * abs(x)
+
+
+def sliced(flat: str) -> str:
+    """*flat* cut into 80-character lines as :func:`encode_stream` documents."""
+    if not flat:
+        return ""
+    lines = [flat[i : i + LINE_WIDTH] for i in range(0, len(flat), LINE_WIDTH)]
+    lines[-1] = lines[-1].ljust(LINE_WIDTH)
+    return "\n".join(lines)
+
+
+def encode_outcome(encode, records):
+    """The text *encode* returns for *records*, or the class and message of
+    what it raises."""
+    try:
+        return encode(records)
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return type(exc), str(exc)
+
+
+def record_by_record(records) -> str:
+    return sliced("".join(map(encode_record, records)))
+
+
+#: Values whose item text the per-shape format cannot write, or writes only
+#: through a check: both signs and exponent widths, the overflowing doubles,
+#: strings holding the texts the check looks for, and types that compare
+#: equal to int.
+EDGE_VALUES = [
+    *(value for value, _ in ENCODE_GOLDENS),
+    *OVERFLOWING_FLOATS,
+    *(value for value, _ in ENCODE_REJECTS),
+    1.5e308,
+    -1.5e308,
+    1e100,
+    -1e-100,
+    "N",
+    "NAN",
+    "E+308",
+    "12345678",
+    False,
+    np.int64(1),
+    np.float64(-1e300),
+]
+
+
+class TestEncodeStreamShapes:
+    """encode_stream formats a record per shape; its output and errors must be
+    those of encode_record, record by record."""
+
+    @pytest.mark.parametrize(
+        "value", [*(v for v, _ in ENCODE_GOLDENS), *OVERFLOWING_FLOATS], ids=repr
+    )
+    def test_golden_as_attribute(self, value):
+        records = [
+            LogicalRecord(1901, (5, value, 1.0)),
+            LogicalRecord(1901, (6, value, 2.0)),
+            LogicalRecord(3, (value,)),
+        ]
+        text = encode_stream(records)
+        assert text == record_by_record(records)
+        assert encode_item(value) in text.replace("\n", "")
+
+    @pytest.mark.parametrize("value, message", ENCODE_REJECTS, ids=repr)
+    def test_reject_as_attribute(self, value, message):
+        # the first record fixes the shape the rejected value then meets
+        for records in (
+            [LogicalRecord(1901, (5, 0.5, value))],
+            [
+                LogicalRecord(1901, (5, 0.5, "AB" if isinstance(value, str) else 0)),
+                LogicalRecord(1901, (5, 0.5, value)),
+            ],
+        ):
+            with pytest.raises(FilCodecError) as exc:
+                encode_stream(records)
+            assert str(exc.value) == message
+            with pytest.raises(FilCodecError) as exc:
+                encode_record(records[-1])
+            assert str(exc.value) == message
+
+    def test_equal_keys_of_other_types_do_not_share_a_shape(self):
+        records = [LogicalRecord(1, (2,)), LogicalRecord(True, (2,))]
+        assert encode_outcome(encode_stream, records) == (
+            FilCodecError, "cannot encode True as a data item"
+        )
+        records = [LogicalRecord(1, (2,)), LogicalRecord(np.int64(1), (2,))]
+        assert encode_outcome(encode_stream, records) == (
+            FilCodecError, "cannot encode np.int64(1) as a data item"
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(0, 3),
+                    st.sampled_from([True, np.int64(1), -1, 10**99]),
+                ),
+                st.lists(
+                    st.one_of(
+                        st.floats(),
+                        st.integers(-(10**100), 10**100),
+                        st.integers(-3, 3),
+                        st.text("ABEN+0138 ", max_size=10),
+                        st.sampled_from(EDGE_VALUES),
+                    ),
+                    max_size=6,
+                ),
+                st.booleans(),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=500)
+    def test_same_text_or_error_as_encode_record(self, drawn):
+        records = [
+            LogicalRecord(key, attributes if as_list else tuple(attributes))
+            for key, attributes, as_list in drawn
+        ]
+        assert encode_outcome(encode_stream, records) == encode_outcome(
+            record_by_record, records
+        )
 
 
 class TestRoundTrip:

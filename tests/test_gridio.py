@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fempost.gridio import write_unstructured_grid
+from fempost.gridio import unstructured_grid_text, write_unstructured_grid
 from fempost.records import ElementTable, NodeTable
 
 
@@ -67,6 +67,20 @@ class TestWriteUnstructuredGrid:
         write_unstructured_grid(path, nodes, elements, "s", [0.0])
         points, _, _, _, _ = parse_legacy_grid(path.read_text())
         assert all(p[2] == 0.0 for p in points)
+
+    def test_writer_writes_the_text(self, tmp_path):
+        nodes, elements = unit_quad()
+        path = tmp_path / "grid.vtk"
+        write_unstructured_grid(path, nodes, elements, "s", [0.5])
+        assert path.read_text() == unstructured_grid_text(nodes, elements, "s", [0.5])
+
+    def test_rejected_grid_opens_no_file(self, tmp_path):
+        nodes, _ = unit_quad()
+        bad = ElementTable([(1, "CPE4", (1, 2, 3, 99))])
+        path = tmp_path / "x.vtk"
+        with pytest.raises(ValueError):
+            write_unstructured_grid(path, nodes, bad, "s", [1.0])
+        assert not path.exists()
 
     def test_value_count_mismatch(self, tmp_path):
         nodes, elements = unit_quad()

@@ -45,6 +45,14 @@ when the formatted record is longer than its shape allows or holds ``N`` or
 format cannot (long strings, negative floats with a 3-digit exponent,
 non-finite and overflowing floats, bools, numpy scalars).
 
+:func:`decode_stream` decodes the same records as matching item by item
+with :func:`decode_item`, one regex match per record in the common case: a
+record is first matched whole against the pattern of its predicted shape
+(header text, item kinds and integer width fields), and decoded item by item,
+which raises every error, when that pattern does not match or a float field
+overflows.  A shape's pattern is built when the shape repeats, within a budget
+of 4 + (records decoded) // 256 patterns per call.
+
 Decoded attribute values are plain Python ``int``, ``float`` and 8-character
 ``str`` objects.  A :class:`LogicalRecord` stores only its key and attributes;
 its length is derived as 2 + the attribute count, so a record cannot disagree
@@ -129,17 +137,21 @@ def fil_to_string(file_path) -> str:
 
 #: Integer width fields, " 1" to "99" as ``%2d`` writes them, and their values.
 _WIDTHS = {"%2d" % width: width for width in range(1, 100)}
-#: Integer item: ``I``, a width field, then exactly that many characters of
-#: ``0|-?[1-9][0-9]*``.  A width of 1 takes any digit; a wider value opens with
-#: a nonzero digit, or a minus sign and one.
-_INTEGER = r"I(?: 1[0-9]|(?=..-?[1-9])(?:%s))" % "|".join(
-    f"{field}[-1-9][0-9]{{{width - 1}}}" for field, width in _WIDTHS.items() if width > 1
-)
+#: Digits of an integer item after its width field, by width: ``0|-?[1-9][0-9]*``
+#: in exactly that many characters.  A width of 1 takes any digit; a wider
+#: value opens with a nonzero digit, or a minus sign and one.
+_DIGITS = {
+    width: "[0-9]" if width == 1 else f"(?=-?[1-9])[-1-9][0-9]{{{width - 1}}}"
+    for width in _WIDTHS.values()
+}
+#: Integer item: ``I``, a width field, then its digits.
+_INTEGER = "I(?:%s)" % "|".join(field + _DIGITS[width] for field, width in _WIDTHS.items())
 #: Float item: ``D`` and 22 characters of `` *-?[0-9]\.[0-9]+[ED][-+][0-9]{2,3}``.
 #: The lookahead checks the mantissa up to the first E or D; the counted runs
 #: put that marker where a 2- or 3-digit exponent ends the field.
 _FLOAT = r"D((?= *-?[0-9]\.[0-9]+[ED])(?:[^ED]{18}[ED][-+][0-9]{2}|[^ED]{17}[ED][-+][0-9]{3}))"
-_ITEM = re.compile(f"({_INTEGER})|{_FLOAT}|A(.{{8}})", re.DOTALL)
+_STRING = "A(.{8})"
+_ITEM = re.compile(f"({_INTEGER})|{_FLOAT}|{_STRING}", re.DOTALL)
 #: Record header: ``*``, an item count >= 2, then a key >= 0.
 _HEADER = re.compile(rf"\*(?!I 1[01]|I..-)({_INTEGER})(?!I..-)({_INTEGER})")
 
@@ -172,30 +184,112 @@ def decode_item(stream: str, position: int):
     return _value(match), match.end()
 
 
+#: Item sub-pattern and group converter of each item code in a record shape.
+#: A float's code is 2 and a string's 3, their group numbers in ``_ITEM``; an
+#: integer's is its item length, 4-102, so its sub-pattern pins the width field.
+_SHAPE_ITEMS = {
+    2: (_FLOAT, float),
+    3: (_STRING, str),
+    **{3 + width: (f"I{field}({_DIGITS[width]})", int) for field, width in _WIDTHS.items()},
+}
+
+
+def _shape_pattern(header: str, codes: tuple):
+    """Match function of one pattern for a whole record: the literal *header*,
+    then one group per item code."""
+    items = "".join(_SHAPE_ITEMS[code][0] for code in codes)
+    return re.compile(re.escape(header) + items, re.DOTALL).match
+
+
+def _d_float(text: str) -> float:
+    return float(text.replace("D", "E"))
+
+
+class _Shape:
+    """A record shape met in one decode: its key and, once its pattern is
+    built, what decodes a whole record of it; ``successor`` is the shape that
+    followed it last."""
+
+    __slots__ = ("key", "match", "converters", "floats", "successor")
+
+    def __init__(self, key: int):
+        self.key = key
+        self.match = self.successor = None
+
+    def build(self, header: str, codes: tuple) -> None:
+        self.match = _shape_pattern(header, codes)
+        self.converters = tuple(_SHAPE_ITEMS[code][1] for code in codes)
+        self.floats = tuple(i for i, code in enumerate(codes) if code == 2)
+
+    def values(self, groups: tuple):
+        """Attribute values of a record from its pattern's groups, or None when
+        a float field overflows a double."""
+        try:
+            values = tuple([convert(text) for convert, text in zip(self.converters, groups)])
+        except ValueError:
+            # a float field with the D exponent marker: from now on this
+            # shape's floats are read with either marker
+            self.converters = tuple(
+                _d_float if convert is float else convert for convert in self.converters
+            )
+            values = tuple([convert(text) for convert, text in zip(self.converters, groups)])
+        for i in self.floats:
+            if not isfinite(values[i]):
+                return None
+        return values
+
+
 def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
     """Decode a flat (line-break-free) character stream into logical records.
 
     Blank padding after the last record is ignored.  A garbled record raises a
     positioned :class:`FilCodecError`; with ``lenient=True`` the decoder
     instead drops the record and resynchronizes on the next asterisk.
+
+    A record's shape is its header text and, per attribute, the item kind and
+    an integer's width field.  Each record is first matched whole against the
+    pattern of the shape that followed the previous record's shape the last
+    time that shape appeared: the header literal, then each item's grammar
+    branch (an integer's pinned to its width) with the value in one group.
+    Item kinds are told apart by their first character, so the pattern accepts
+    exactly the items, with the same boundaries, that matching item by item
+    does.  When there is no such pattern, it does not match, or a float field
+    overflows, the record is decoded item by item, which raises every error
+    and makes every lenient resync.  A shape's pattern is built when the shape
+    repeats, at most 4 + (records decoded) // 256 of them per call, so a
+    stream of ever-new shapes spends little on compiling.
     """
     if "\n" in flat or "\r" in flat:
         raise FilCodecError("flat stream must not contain line breaks")
     header, item = _HEADER.match, _ITEM.match
     records: list[LogicalRecord] = []
+    shapes: dict = {}  # (header text, item codes) -> _Shape
+    built = 0
+    shape = None  # of the last record decoded
     pos, padding = 0, len(flat.rstrip(" "))  # where the final line's blank padding starts
     while pos < padding:
+        predicted = shape and shape.successor
+        if predicted is not None and predicted.match is not None:
+            whole = predicted.match(flat, pos)
+            if whole is not None:
+                values = predicted.values(whole.groups())
+                if values is not None:
+                    records.append(LogicalRecord(predicted.key, values))
+                    shape, pos = predicted, whole.end()
+                    continue
         try:
             head = header(flat, pos)
             if head is None:
                 raise FilCodecError(f"no record header at {flat[pos : pos + 12]!r}", pos)
             end, count = head.end(), int(head[1][3:]) - 2
-            attributes = []
+            attributes, codes = [], []
             for _ in range(count):
                 match = item(flat, end)
                 if match is None:
                     raise _item_error(flat, end)
                 attributes.append(_value(match))
+                kind = match.lastindex
+                codes.append(kind if kind > 1 else match.end() - end)
                 end = match.end()
         except FilCodecError:
             if not lenient:
@@ -204,8 +298,18 @@ def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
             if pos < 0:
                 break
             continue
-        records.append(LogicalRecord(key=int(head[2][3:]), attributes=tuple(attributes)))
-        pos = end
+        key = int(head[2][3:])
+        records.append(LogicalRecord(key, tuple(attributes)))
+        signature = (flat[pos : head.end()], tuple(codes))
+        seen = shapes.get(signature)
+        if seen is None:
+            seen = shapes[signature] = _Shape(key)
+        elif seen.match is None and built < 4 + len(records) // 256:
+            seen.build(*signature)
+            built += 1
+        if shape is not None:
+            shape.successor = seen
+        shape, pos = seen, end
     return records
 
 

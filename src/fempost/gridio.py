@@ -43,9 +43,11 @@ def unstructured_grid_text(nodes, elements, scalar_name, values) -> str:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {len(nodes.rows)} double",
     ]
-    for _, coords in nodes.rows:
-        xyz = tuple(coords) + (0.0,) * (3 - len(coords))
-        lines.append(" ".join(f"{c:.10g}" for c in xyz))
+    try:
+        for _, coords in nodes.rows:
+            lines.append("%.10g %.10g %.10g" % (tuple(coords) + (0.0,) * (3 - len(coords))))
+    except TypeError:
+        raise ValueError("a grid point takes one to three numeric coordinates") from None
 
     total = sum(len(conn) + 1 for _, _, conn in elements.rows)
     lines.append(f"CELLS {len(elements.rows)} {total}")
@@ -66,8 +68,7 @@ def unstructured_grid_text(nodes, elements, scalar_name, values) -> str:
     lines.append(f"CELL_DATA {len(elements.rows)}")
     lines.append(f"SCALARS {scalar_name} double 1")
     lines.append("LOOKUP_TABLE default")
-    for v in values:
-        lines.append(f"{v:.10g}")
+    lines += ["%.10g" % v for v in values.tolist()]
 
     return "\n".join(lines) + "\n"
 

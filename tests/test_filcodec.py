@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PRINTABLE, random_stream
+from fempost import filcodec
 from fempost.filcodec import (
     LINE_WIDTH,
     FilCodecError,
@@ -256,6 +257,169 @@ class TestGrammar:
         flat = encode_stream([LogicalRecord(1, ("AB",))])
         assert flat == (ONE_ATTRIBUTE + "AAB").ljust(LINE_WIDTH)
         assert decode_stream(flat) == [LogicalRecord(1, (str8("AB"),))]
+
+
+def reference_decode(flat: str, lenient: bool = False) -> list:
+    """decode_stream rebuilt from decode_item, one item at a time."""
+    if "\n" in flat or "\r" in flat:
+        raise FilCodecError("flat stream must not contain line breaks")
+    records, pos, padding = [], 0, len(flat.rstrip(" "))
+    while pos < padding:
+        try:
+            try:
+                count, end = decode_item(flat, pos + 1)
+                key, end = decode_item(flat, end)
+            except FilCodecError:
+                count = key = None
+            if flat[pos] != "*" or not (type(count) is type(key) is int and count >= 2 and key >= 0):
+                raise FilCodecError(f"no record header at {flat[pos : pos + 12]!r}", pos)
+            attributes = []
+            for _ in range(count - 2):
+                value, end = decode_item(flat, end)
+                attributes.append(value)
+        except FilCodecError:
+            if not lenient:
+                raise
+            pos = flat.find("*", pos + 1)
+            if pos < 0:
+                break
+            continue
+        records.append(LogicalRecord(key, tuple(attributes)))
+        pos = end
+    return records
+
+
+def decode_outcome(decode, flat: str, lenient: bool):
+    """Records with the exact type of every attribute, or the message and
+    offset of the FilCodecError *decode* raises."""
+    try:
+        records = decode(flat, lenient)
+    except FilCodecError as exc:
+        return str(exc), exc.offset
+    return [(r.key, [(type(a), a) for a in r.attributes]) for r in records]
+
+
+def int_text(value: int) -> str:
+    return f"I{len(str(value)):2d}{value}"
+
+
+#: Item texts of each kind, integers of several widths among them: the float
+#: fields include the D exponent marker, a 3-digit exponent and two fields that
+#: overflow a double.
+INT_TEXTS = [int_text(v) for v in (0, 7, -3, 42, -42, 1901, 65535, -(10**11))]
+FLOAT_TEXTS = [
+    encode_item(1.0),
+    encode_item(-2.5e-7),
+    encode_item(1e300),
+    encode_item(1.0).replace("E", "D"),
+    encode_item(-3.25e150).replace("E", "D"),
+    "D" + "9.9E+999".rjust(22),
+    "D1.797693134862316E+308",
+]
+STRING_TEXTS = ["ACPE4    ", "A  *I 13 ", "AD+00E+0 "]
+ITEM_TEXTS = INT_TEXTS + FLOAT_TEXTS + STRING_TEXTS
+
+
+@st.composite
+def shaped_streams(draw) -> str:
+    """Flat text of records drawn from a few templates, so that shapes repeat,
+    with items that sometimes change value, kind or integer width under the
+    same header; then garbage may be spliced in, an integer's width field
+    changed or the stream cut short."""
+    templates = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 11, 1901]),
+                st.lists(st.sampled_from(INT_TEXTS + FLOAT_TEXTS[:5] + STRING_TEXTS), max_size=4),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    parts = []
+    for key, items in draw(st.lists(st.sampled_from(templates), min_size=1, max_size=12)):
+        items = [item if draw(st.integers(0, 5)) else draw(st.sampled_from(ITEM_TEXTS)) for item in items]
+        parts.append(f"*{int_text(len(items) + 2)}{int_text(key)}{''.join(items)}")
+    flat = "".join(parts)
+    cut = draw(st.integers(0, len(flat)))
+    edit = draw(st.sampled_from(["none", "truncate", "splice", "replace", "width"]))
+    if edit == "width" and "I" in flat:
+        at = flat.index("I", draw(st.integers(0, flat.rindex("I")))) + 2
+        flat = flat[:at] + draw(st.sampled_from("0123456789")) + flat[at + 1 :]
+    elif edit == "truncate":
+        flat = flat[:cut]
+    elif edit == "splice":
+        flat = flat[:cut] + draw(st.text("I 1234-D.E+A*", min_size=1, max_size=8)) + flat[cut:]
+    elif edit == "replace":
+        flat = flat[:cut] + draw(st.sampled_from("0123456789 -+.EDIA*")) + flat[cut + 1 :]
+    return flat + " " * draw(st.integers(0, 3))
+
+
+def repeated(*records: str) -> str:
+    """*records* three times over, so their shapes' patterns are built."""
+    return "".join(records) * 3
+
+
+class TestDecodeStreamShapes:
+    """decode_stream matches a record whole against a pattern per shape; its
+    records, errors and resyncs must be those of decoding item by item."""
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_fuzz_streams_like_the_reference(self, lenient):
+        rng = random.Random(20260823)
+        for _ in range(200):
+            flat = encode_stream(random_stream(rng)).replace("\n", "")
+            expected = decode_outcome(reference_decode, flat, lenient)
+            assert decode_outcome(decode_stream, flat, lenient) == expected
+
+    @pytest.mark.parametrize(
+        "flat",
+        [
+            # a float field that overflows in a predicted record
+            repeated("*I 14I 11I 17" + FLOAT_TEXTS[0]) + "*I 14I 11I 17" + FLOAT_TEXTS[5],
+            repeated("*I 13I 11" + FLOAT_TEXTS[2]) + "*I 13I 11" + FLOAT_TEXTS[6] + "*I 12I 10",
+            # the D exponent marker in a predicted record
+            repeated("*I 14I 11I 17" + FLOAT_TEXTS[0]) + "*I 14I 11I 17" + FLOAT_TEXTS[3],
+            # other integer widths and kinds under a predicted header
+            repeated("*I 14I 11I 41901I 17") + "*I 14I 11I 31901I 17",
+            repeated("*I 14I 11I 41901I 17") + "*I 14I 11I 3190I 17",
+            repeated("*I 14I 11I 41901I 17") + "*I 14I 11I 319017I 17",
+            repeated("*I 14I 11I 41901I 17") + "*I 14I 11I 5655357I 17",
+            repeated("*I 14I 11I 41901I 17") + "*I 14I 11" + FLOAT_TEXTS[0] + "I 17",
+            # zero-attribute records, and a truncated final record
+            repeated("*I 12I 10", "*I 13I 11I 10") + "*I 12I 10",
+            repeated("*I 12I 10", "*I 13I 11I 10") + "*I 13I 11I 2",
+            repeated("*I 13I 11ACPE4    ") + "*I 13I 11ACPE4",
+        ],
+    )
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_edge_streams_like_the_reference(self, flat, lenient):
+        expected = decode_outcome(reference_decode, flat, lenient)
+        assert decode_outcome(decode_stream, flat, lenient) == expected
+
+    @given(shaped_streams(), st.booleans())
+    @settings(max_examples=500)
+    def test_repeated_shapes_like_the_reference(self, flat, lenient):
+        expected = decode_outcome(reference_decode, flat, lenient)
+        assert decode_outcome(decode_stream, flat, lenient) == expected
+
+    def test_patterns_built_within_budget(self, monkeypatch):
+        builds = []
+        build = filcodec._shape_pattern
+        monkeypatch.setattr(
+            filcodec, "_shape_pattern", lambda header, codes: builds.append(header) or build(header, codes)
+        )
+        shapes = [LogicalRecord(key, (key, 0.5, "CPE4    ")) for key in range(2000)]
+        flat = "".join(map(encode_record, shapes * 2))
+        assert decode_stream(flat) == shapes * 2
+        assert 0 < len(builds) <= 4 + len(shapes * 2) // 256
+        builds.clear()
+        assert decode_stream(flat[: len(flat) // 2] * 3) == shapes * 3
+        assert len(builds) <= 4 + len(shapes * 3) // 256
+        builds.clear()
+        one = encode_record(LogicalRecord(1, (1, 1)))
+        assert decode_stream(one * 100) == [LogicalRecord(1, (1, 1))] * 100
+        assert builds == ["*I 14I 11"]
 
 
 class TestEncode:

@@ -120,3 +120,43 @@ class TestWriteUnstructuredGrid:
         with pytest.raises(ValueError, match="C3D20R"):
             write_unstructured_grid(path, nodes, elements, "s", [1.0])
         assert not path.exists()
+
+
+def formatted_lines(coords, values):
+    """Point and scalar lines formatted one number at a time, as ``format``
+    writes each with ``.10g``."""
+    points = [" ".join(f"{c:.10g}" for c in tuple(xyz) + (0.0,) * (3 - len(xyz))) for xyz in coords]
+    return points, [f"{v:.10g}" for v in np.asarray(values, dtype=float)]
+
+
+class TestGridBytes:
+    def test_unit_quad_text(self):
+        nodes, elements = unit_quad()
+        assert unstructured_grid_text(nodes, elements, "s", [-2.5]) == (
+            "# vtk DataFile Version 3.0\nhazard map\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            "POINTS 4 double\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+            "CELLS 1 5\n4 0 1 2 3\nCELL_TYPES 1\n9\n"
+            "CELL_DATA 1\nSCALARS s double 1\nLOOKUP_TABLE default\n-2.5\n"
+        )
+
+    @pytest.mark.parametrize("dim, label", [(2, "CPE4"), (3, "C3D4")])
+    def test_numbers_as_format_writes_them(self, dim, label):
+        rng = np.random.default_rng(401)
+        coords = rng.normal(size=(60, dim)) * 10.0 ** rng.integers(-30, 30, size=(60, dim))
+        coords[0] = [-0.0, 1e300, 5e-324][:dim]
+        coords = coords.tolist() + [[7] * dim, [np.float32(0.1)] * dim]
+        nodes = NodeTable([(i + 1, tuple(xyz)) for i, xyz in enumerate(coords)])
+        conn = rng.integers(1, len(coords) + 1, size=(30, 4))
+        elements = ElementTable([(i + 1, label, tuple(c)) for i, c in enumerate(conn.tolist())])
+        values = rng.normal(size=30) * 10.0 ** rng.integers(-300, 300, size=30)
+        values[:4] = [-np.inf, np.nan, -0.0, 123456789012.0]
+        lines = unstructured_grid_text(nodes, elements, "s", values).split("\n")
+        points, scalars = formatted_lines(coords, values)
+        assert lines[5 : 5 + len(coords)] == points
+        assert lines[-1 - len(values) : -1] == scalars
+
+    def test_more_than_three_coordinates_rejected(self):
+        nodes = NodeTable([(1, (0.0, 0.0, 0.0, 0.0))])
+        elements = ElementTable([(1, "C3D4", (1, 1, 1, 1))])
+        with pytest.raises(ValueError, match="one to three"):
+            unstructured_grid_text(nodes, elements, "s", [1.0])

@@ -11,25 +11,26 @@ import numpy as np
 
 
 class FempostError(Exception):
-    """Base class of every failure the library raises on its own account."""
+    """Base class of every library failure that is not bad input; bad input
+    raises plain ValueError."""
 
 
 class NoConvergence(FempostError, RuntimeError):
     """An iterative solver or optimizer exhausted its budget."""
 
 
-def check_number(name, value, *, zero=False, inf=False, integer=False, error=ValueError):
-    """Raise *error* unless *value* is a real number (an integer with
+def check_number(name, value, *, zero=False, inf=False, integer=False):
+    """Raise ValueError unless *value* is a real number (an integer with
     *integer*), not a bool, that is positive (non-negative with *zero*) and
     finite (+inf too with *inf*).  Every comparison is written so that NaN
     fails it."""
     kind = numbers.Integral if integer else numbers.Real
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise error(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
     if not (value >= 0 if zero else value > 0):
-        raise error(f"{name} must be {'non-negative' if zero else 'positive'}, got {value}")
+        raise ValueError(f"{name} must be {'non-negative' if zero else 'positive'}, got {value}")
     if value == math.inf and not inf:
-        raise error(f"{name} must be finite")
+        raise ValueError(f"{name} must be finite")
 
 
 def read_csv(path, usecols=None) -> np.ndarray:

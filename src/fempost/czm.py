@@ -27,21 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._base import FempostError, NoConvergence, check_number, read_csv
+from ._base import NoConvergence, check_number, read_csv
 
 __all__ = [
     "TSLParams",
     "ForwardConfig",
     "ResponseCurve",
     "SurrogateModel",
-    "NonPositiveInput",
-    "DuplicateInputs",
-    "BoxTooSmall",
     "NoConvergence",
     "cohesive_energy",
     "delta_from",
     "forward_model",
-    "train_surrogate",
     "curve_mismatch",
     "inverse_identify",
     "load_target_csv",
@@ -60,18 +56,6 @@ SEARCH_LEVELS = 3
 STALL_LIMIT = 3
 
 
-class NonPositiveInput(FempostError, ValueError):
-    """A cohesive quantity that must be positive is not."""
-
-
-class DuplicateInputs(FempostError, ValueError):
-    """Two surrogate training inputs coincide."""
-
-
-class BoxTooSmall(FempostError, RuntimeError):
-    """Target curve unreachable inside the parameter box."""
-
-
 @dataclass(frozen=True)
 class TSLParams:
     """Cohesive strength Tc [MPa] and cohesive energy Gamma_c [N/mm]."""
@@ -80,8 +64,8 @@ class TSLParams:
     Gamma_c: float
 
     def __post_init__(self):
-        check_number("Tc", self.Tc, error=NonPositiveInput)
-        check_number("Gamma_c", self.Gamma_c, error=NonPositiveInput)
+        check_number("Tc", self.Tc)
+        check_number("Gamma_c", self.Gamma_c)
 
     @property
     def delta_c(self) -> float:
@@ -90,8 +74,8 @@ class TSLParams:
 
 def cohesive_energy(Tc: float, delta_c: float) -> float:
     """Cohesive energy of the bilinear law, 0.5 * Tc * delta_c."""
-    check_number("Tc", Tc, error=NonPositiveInput)
-    check_number("delta_c", delta_c, zero=True, error=NonPositiveInput)
+    check_number("Tc", Tc)
+    check_number("delta_c", delta_c, zero=True)
     return 0.5 * Tc * delta_c
 
 
@@ -198,7 +182,7 @@ def train_surrogate(samples) -> SurrogateModel:
     y = np.array([c.load for _, c in samples])
     # TSLParams admits no NaN and no -0.0, so equal rows are equal tuples
     if len(set(map(tuple, x.tolist()))) != len(x):
-        raise DuplicateInputs("coincident surrogate training inputs")
+        raise ValueError("coincident surrogate training inputs")
     lo = x.min(axis=0)
     span = np.ptp(x, axis=0)
     span = np.where(span > 0, span, 1.0)
@@ -301,9 +285,9 @@ def inverse_identify(
     on the same point.
 
     Raises ValueError when the box bounds do not increase, *tol* is NaN or
-    negative or *max_outer* is not a positive integer, :class:`BoxTooSmall`
-    when the verified mismatch stalls above tolerance, and
-    :class:`NoConvergence` when the iteration budget runs out.
+    negative or *max_outer* is not a positive integer, and
+    :class:`NoConvergence` when the verified mismatch stalls above tolerance
+    or the iteration budget runs out.
     """
     check_number("tol", tol, zero=True, inf=True)
     check_number("max_outer", max_outer, integer=True)
@@ -352,7 +336,7 @@ def inverse_identify(
         if inc_mismatch <= tol:
             return incumbent, history
         if stall >= STALL_LIMIT:
-            raise BoxTooSmall(
+            raise NoConvergence(
                 f"mismatch stalled at {inc_mismatch:.4g} > tol {tol:.4g}; "
                 "the target may be unreachable inside the box"
             )

@@ -68,15 +68,12 @@ from typing import NamedTuple
 from ._base import FempostError
 
 __all__ = [
-    "LINE_WIDTH",
     "FilCodecError",
     "LogicalRecord",
     "str8",
     "fil_to_string",
     "decode_item",
     "decode_stream",
-    "encode_item",
-    "encode_record",
     "encode_stream",
     "write_fil",
 ]

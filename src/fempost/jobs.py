@@ -20,33 +20,14 @@ from ._base import FempostError, check_number
 __all__ = [
     "JobSpec",
     "JobError",
-    "MarkerNotFound",
-    "SpawnFailure",
-    "JobTimeout",
-    "MissingResults",
     "render_input",
     "run_job",
 ]
 
 
 class JobError(FempostError):
-    """Base class for orchestration failures."""
-
-
-class MarkerNotFound(JobError):
-    """A substitution marker occurs on no line of the template."""
-
-
-class SpawnFailure(JobError):
-    """The solver command could not be started."""
-
-
-class JobTimeout(JobError):
-    """The lock file persisted past the configured timeout."""
-
-
-class MissingResults(JobError):
-    """The job completed but left no results file."""
+    """A marker on no template line, a solver that cannot start, a lock file
+    past the timeout, or a finished job without a results file."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +56,7 @@ def render_input(template_text: str, substitutions) -> str:
 
     Every line containing a marker is replaced wholesale by the corresponding
     replacement line; all other lines pass through byte-identical.  Raises
-    :class:`MarkerNotFound` for markers that match no line.
+    :class:`JobError` for a marker that matches no line.
     """
     ends_with_newline = template_text.endswith("\n")
     lines = template_text.split("\n")
@@ -91,7 +72,7 @@ def render_input(template_text: str, substitutions) -> str:
                 out_lines[i] = replacement
                 hit = True
         if not hit:
-            raise MarkerNotFound(f"marker {marker!r} occurs on no template line")
+            raise JobError(f"marker {marker!r} occurs on no template line")
     out = "\n".join(out_lines)
     return out + "\n" if ends_with_newline else out
 
@@ -116,7 +97,7 @@ def run_job(spec: JobSpec) -> Path:
                 command, cwd=workdir, stdout=out, stderr=err
             )
     except OSError as exc:
-        raise SpawnFailure(f"cannot start {command!r}: {exc}") from exc
+        raise JobError(f"cannot start {command!r}: {exc}") from exc
 
     try:
         deadline = time.monotonic() + spec.timeout
@@ -124,7 +105,7 @@ def run_job(spec: JobSpec) -> Path:
         lck = workdir / f"{spec.job_name}.lck"
         while lck.exists():
             if time.monotonic() >= deadline:
-                raise JobTimeout(f"lock file {lck} still present after {spec.timeout} s")
+                raise JobError(f"lock file {lck} still present after {spec.timeout} s")
             time.sleep(spec.poll_interval)
 
         # a solver killed here has no exit code of its own to report
@@ -144,7 +125,7 @@ def run_job(spec: JobSpec) -> Path:
                 f"; exit code {exit_code}"
                 f"; stderr: {stderr_path.read_text().strip()!r}"
             )
-        raise MissingResults(f"results file {fil} absent after completion{detail}")
+        raise JobError(f"results file {fil} absent after completion{detail}")
 
     for suffix in spec.cleanup_suffixes:
         if suffix == ".fil":

@@ -25,20 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._base import FempostError, NoConvergence, check_number, read_csv
+from ._base import NoConvergence, check_number, read_csv
 
 __all__ = [
     "WeibullParams",
     "ElementField",
     "FailureSample",
-    "DomainError",
-    "RankOutOfRange",
     "NoConvergence",
-    "DegenerateFit",
     "max_principal_stress",
     "weibull_stress",
     "failure_probability",
-    "empirical_cdf",
     "rank_samples",
     "fit_three_parameter",
     "hazard_map",
@@ -51,19 +47,6 @@ LOG10_FLOOR = -16.0
 #: vector by less than this fraction of its norm, or after LM_MAX_STEPS steps.
 LM_XTOL = 1e-10
 LM_MAX_STEPS = 200
-
-
-class DomainError(FempostError, ValueError):
-    """Weibull stress below the threshold stress."""
-
-
-class RankOutOfRange(FempostError, ValueError):
-    """Empirical rank outside 1..n."""
-
-
-class DegenerateFit(FempostError, ValueError):
-    """Fewer distinct Weibull-stress values than free parameters, or an empty
-    parameter interval."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +100,7 @@ class FailureSample:
         if not np.isfinite(self.failure_load):
             raise ValueError(f"failure load must be finite, got {self.failure_load}")
         if not 1 <= self.rank <= self.count:
-            raise RankOutOfRange(f"rank {self.rank} outside 1..{self.count}")
+            raise ValueError(f"rank {self.rank} outside 1..{self.count}")
 
 
 # positions of (S11, S22, S33, S12, S13, S23) in the symmetric 3x3 tensor
@@ -163,7 +146,7 @@ def failure_probability(sigma_w, params: WeibullParams):
     """Cumulative failure probability at a given Weibull stress."""
     sw = np.asarray(sigma_w, dtype=float)
     if np.any(sw < params.sigma_th):
-        raise DomainError("sigma_w below the threshold stress")
+        raise ValueError("sigma_w below the threshold stress")
     pf = 1.0 - np.exp(-(((sw - params.sigma_th) / params.sigma_u) ** params.m))
     return float(pf) if np.isscalar(sigma_w) or sw.ndim == 0 else pf
 
@@ -171,7 +154,7 @@ def failure_probability(sigma_w, params: WeibullParams):
 def empirical_cdf(rank: int, count: int) -> float:
     """Median-rank plotting position (j - 0.3) / (n + 0.4)."""
     if not 1 <= rank <= count:
-        raise RankOutOfRange(f"rank {rank} outside 1..{count}")
+        raise ValueError(f"rank {rank} outside 1..{count}")
     return (rank - 0.3) / (count + 0.4)
 
 
@@ -291,7 +274,7 @@ def fit_three_parameter(
     trace = []
     for _ in range(max_iter):
         if np.unique(sw).size < 3:
-            raise DegenerateFit(
+            raise ValueError(
                 "fewer distinct Weibull-stress values than free parameters"
             )
         bounds = [
@@ -300,7 +283,7 @@ def fit_three_parameter(
             (1e-6, 10.0 * float(sw.max())),
         ]
         if bounds[2][0] > bounds[2][1]:
-            raise DegenerateFit(
+            raise ValueError(
                 f"empty sigma_u interval [{bounds[2][0]}, {bounds[2][1]}]: the Weibull "
                 f"stresses (at most {float(sw.max())}) are too small for V0 = {V0}"
             )

@@ -150,7 +150,7 @@ class TestAcceptance:
             timeout=0.6,
         )
         start = time.monotonic()
-        with pytest.raises(jobs.JobTimeout):
+        with pytest.raises(jobs.JobError, match="still present after"):
             jobs.run_job(hang)
         elapsed = time.monotonic() - start
         assert elapsed <= hang.timeout + hang.poll_interval + 0.5

@@ -1,6 +1,7 @@
 """The shared error base, numeric input check and CSV reader."""
 
 import importlib
+import inspect
 import math
 import pkgutil
 
@@ -8,17 +9,19 @@ import numpy as np
 import pytest
 
 import fempost
-from fempost import cli, czm, truss, weibull
+from fempost import cli, czm, filcodec, jobs, records, truss, weibull
 from fempost._base import check_number, read_csv
+
+
+MODULES = [
+    importlib.import_module(f"fempost.{info.name}")
+    for info in pkgutil.iter_modules(fempost.__path__)
+]
 
 
 class TestErrorHierarchy:
     def test_every_exported_exception_is_a_fempost_error(self):
-        modules = [
-            importlib.import_module(f"fempost.{info.name}")
-            for info in pkgutil.iter_modules(fempost.__path__)
-        ]
-        exported = [getattr(m, name) for m in modules for name in getattr(m, "__all__", ())]
+        exported = [getattr(m, name) for m in MODULES for name in getattr(m, "__all__", ())]
         errors = [e for e in exported if isinstance(e, type) and issubclass(e, Exception)]
         assert {fempost.NoConvergence, fempost.filcodec.FilCodecError, fempost.jobs.JobError} <= set(errors)
         for error in errors:
@@ -30,10 +33,20 @@ class TestErrorHierarchy:
         assert weibull.NoConvergence is fempost.NoConvergence
         assert issubclass(fempost.NoConvergence, RuntimeError)
 
-    def test_builtin_bases_kept(self):
-        assert issubclass(weibull.DomainError, ValueError)
-        assert issubclass(truss.SingularStiffness, ValueError)
-        assert issubclass(czm.BoxTooSmall, RuntimeError)
+    def test_exactly_five_exception_classes(self):
+        defined = {
+            cls
+            for m in MODULES
+            for _, cls in inspect.getmembers(m, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == m.__name__
+        }
+        assert defined == {
+            fempost.FempostError,
+            fempost.NoConvergence,
+            filcodec.FilCodecError,
+            records.MalformedRecord,
+            jobs.JobError,
+        }
 
     def test_cli_catches_three_bases(self):
         assert cli.DOMAIN_ERRORS == (
@@ -66,10 +79,6 @@ class TestCheckNumber:
     def test_non_numbers_rejected(self, value):
         with pytest.raises(ValueError, match="^x must be a number, got"):
             check_number("x", value)
-
-    def test_error_class(self):
-        with pytest.raises(czm.NonPositiveInput):
-            check_number("x", math.nan, error=czm.NonPositiveInput)
 
 
 class TestReadCsv:

@@ -93,6 +93,13 @@ def _header_only_fields(tmp_path):
     ]
 
 
+def _unstartable_job(tmp_path):
+    return [
+        "run", "--command", "/no/such/binary {job}", "--job", "job",
+        "--workdir", str(tmp_path), "--initial-wait", "0",
+    ]
+
+
 def _hazard_on_mesh(capsys, tmp_path):
     """Arguments of a hazard run on a synthesized one-element mesh, outputs
     not yet given."""
@@ -109,14 +116,20 @@ def _hazard_on_mesh(capsys, tmp_path):
 
 class TestDomainErrors:
     @pytest.mark.parametrize(
-        "make_argv",
-        [_garbled_fil, _infeasible_truss, _three_column_target, _header_only_fields],
-        ids=["codec", "truss", "czm", "weibull"],
+        "make_argv, message",
+        [
+            (_garbled_fil, "no record header at"),
+            (_infeasible_truss, "missed even at area_max"),
+            (_three_column_target, "expected 2 columns"),
+            (_header_only_fields, "no data rows"),
+            (_unstartable_job, "cannot start"),
+        ],
+        ids=["codec", "truss", "czm", "weibull", "jobs"],
     )
-    def test_each_layer_exits_2(self, capsys, tmp_path, make_argv):
+    def test_each_layer_exits_2(self, capsys, tmp_path, make_argv, message):
         code, _, err = run_cli(capsys, *make_argv(tmp_path))
         assert code == 2
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize(
         "cfg, message",

@@ -11,11 +11,8 @@ import pytest
 from fempost import jobs
 from fempost.filcodec import decode_stream, fil_to_string
 from fempost.jobs import (
+    JobError,
     JobSpec,
-    JobTimeout,
-    MarkerNotFound,
-    MissingResults,
-    SpawnFailure,
     render_input,
     run_job,
 )
@@ -53,7 +50,7 @@ class TestRenderInput:
         assert changed == [2, 3]
 
     def test_marker_not_found(self):
-        with pytest.raises(MarkerNotFound):
+        with pytest.raises(JobError, match="^marker '@MISSING@' occurs on no template line$"):
             render_input(self.TEMPLATE, [("@MISSING@", "x")])
 
     def test_replacement_lines_not_rescanned(self):
@@ -100,7 +97,7 @@ class TestRunJob:
     def test_timeout_on_persistent_lock(self, stub_solver):
         spec = make_spec(stub_solver, "job2", mode="hang", timeout=0.6)
         start = time.monotonic()
-        with pytest.raises(JobTimeout):
+        with pytest.raises(JobError, match="still present after 0.6 s$"):
             run_job(spec)
         elapsed = time.monotonic() - start
         assert elapsed <= spec.timeout + spec.poll_interval + 0.5
@@ -111,7 +108,7 @@ class TestRunJob:
 
     def test_failing_solver_reports_output(self, stub_solver):
         spec = make_spec(stub_solver, "job3", mode="fail")
-        with pytest.raises(MissingResults) as exc:
+        with pytest.raises(JobError, match="absent after completion; exit code 3; ") as exc:
             run_job(spec)
         assert "solver blew up" in str(exc.value)
 
@@ -124,7 +121,7 @@ class TestRunJob:
             poll_interval=0.05,
             timeout=1.0,
         )
-        with pytest.raises(SpawnFailure):
+        with pytest.raises(JobError, match="^cannot start "):
             run_job(spec)
 
     def test_returned_path_exists(self, stub_solver):

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from fempost.truss import (
     G_ACCEL,
-    Infeasible,
-    SingularStiffness,
     TrussProblem,
     evaluate_constraints,
     grid_sweep,
@@ -73,12 +71,12 @@ class TestSolve:
         assert n2 == pytest.approx(SQRT2 * self.problem.P, rel=1e-9)
 
     def test_zero_area_rejected(self):
-        with pytest.raises(SingularStiffness):
+        with pytest.raises(ValueError, match="^A1 must be positive, got 0.0$"):
             solve_truss([0.0, 0.01], self.problem)
 
     @pytest.mark.parametrize("areas", [[0.01, -1.0], [math.nan, 0.01], [0.01, math.inf]])
     def test_bad_area_rejected(self, areas):
-        with pytest.raises(SingularStiffness):
+        with pytest.raises(ValueError, match="^A[12] must be (positive|finite)"):
             solve_truss(areas, self.problem)
 
     def test_displacements_decrease_with_area(self):
@@ -279,9 +277,9 @@ class TestClosedForm:
 
     def test_infeasible(self):
         p = replace(example_problem(), d_max=0.001)
-        with pytest.raises(Infeasible):
+        with pytest.raises(ValueError, match="^displacement limit 0.001 m missed even at area_max$"):
             optimize_truss(p)
-        with pytest.raises(Infeasible):
+        with pytest.raises(ValueError, match="^no feasible point on the grid$"):
             grid_sweep(p, n=200)
 
     def test_perturbed_problems(self):
@@ -310,7 +308,7 @@ def full_grid_sweep(problem, n):
     ux, uy = _displacements(a1, a2, problem)
     feasible = (-uy <= problem.d_max) & (-ux <= problem.d_max)
     if not feasible.any():
-        raise Infeasible("no feasible point on the grid")
+        raise ValueError("no feasible point on the grid")
     weight = G_ACCEL * problem.rho * problem.L * (a1 + SQRT2 * a2)
     weight = np.where(feasible, weight, np.inf)
     i, j = np.unravel_index(np.argmin(weight), weight.shape)
@@ -320,7 +318,9 @@ def full_grid_sweep(problem, n):
 def sweep_or_infeasible(sweep, problem, n):
     try:
         return sweep(problem, n)
-    except Infeasible:
+    except ValueError as exc:
+        if str(exc) != "no feasible point on the grid":
+            raise
         return "infeasible"
 
 

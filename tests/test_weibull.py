@@ -9,11 +9,8 @@ from scipy.optimize import least_squares
 
 from fempost import weibull
 from fempost.weibull import (
-    DegenerateFit,
-    DomainError,
     ElementField,
     FailureSample,
-    RankOutOfRange,
     WeibullParams,
     empirical_cdf,
     failure_probability,
@@ -192,7 +189,7 @@ class TestFailureProbability:
         assert pf[-1] == pytest.approx(1.0)
 
     def test_below_threshold_raises(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="^sigma_w below the threshold stress$"):
             failure_probability(999.0, self.params)
 
 
@@ -209,11 +206,11 @@ class TestEmpiricalCdf:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_rank_out_of_range(self):
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(ValueError, match=r"^rank 0 outside 1\.\.5$"):
             empirical_cdf(0, 5)
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(ValueError, match=r"^rank 6 outside 1\.\.5$"):
             empirical_cdf(6, 5)
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(ValueError, match=r"^rank 7 outside 1\.\.6$"):
             FailureSample(1.0, 7, 6)
 
 
@@ -237,13 +234,14 @@ class TestNonFiniteInputs:
     def test_failure_sample(self, bad):
         with pytest.raises(ValueError, match="failure load") as err:
             FailureSample(bad, 1, 1)
-        assert not isinstance(err.value, RankOutOfRange)
+        assert "outside 1.." not in str(err.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rank_samples(self, bad):
         with pytest.raises(ValueError, match="failure load") as err:
             rank_samples([10.0, bad, 20.0, 30.0])
-        assert not isinstance(err.value, DegenerateFit)
+        assert "fewer distinct" not in str(err.value)
+        assert "empty sigma_u interval" not in str(err.value)
 
 
 class TestFit:
@@ -343,7 +341,7 @@ class TestFit:
         # V0 = 1e308 shrinks every sigma_w to about 1e-151, below sigma_u's
         # lower bound of 1e-6
         true = WeibullParams(1000.0, 4.0, 1200.0, 1.0)
-        with pytest.raises(DegenerateFit, match="empty sigma_u interval"):
+        with pytest.raises(ValueError, match="empty sigma_u interval"):
             fit_three_parameter(linear_fields(), quantile_samples(true, 50), V0=1e308)
 
     @pytest.mark.parametrize("x", [(1100.0, 4.0, 1200.0), (1000.0, 0.7, 900.0)])
@@ -435,7 +433,7 @@ class TestFit:
     def test_degenerate_sigma_w(self):
         fields = [ElementField(J, [2000.0], [1.0]) for J in (0.0, 1.0)]
         samples = rank_samples([0.2, 0.5, 0.8])
-        with pytest.raises(DegenerateFit):
+        with pytest.raises(ValueError, match="fewer distinct Weibull-stress values than free parameters"):
             fit_three_parameter(fields, samples, V0=1.0)
 
     def test_extrapolation_rejected(self):

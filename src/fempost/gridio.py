@@ -35,7 +35,8 @@ def unstructured_grid_text(nodes, elements, scalar_name, values) -> str:
         raise ValueError(
             f"need one scalar per element: {values.shape} vs {len(elements.rows)} cells"
         )
-    index = {nid: i for i, (nid, _) in enumerate(nodes.rows)}
+    # each node's point index as text, formatted once however many cells use it
+    index = {nid: str(i) for i, (nid, _) in enumerate(nodes.rows)}
     lines = [
         "# vtk DataFile Version 3.0",
         "hazard map",
@@ -51,12 +52,11 @@ def unstructured_grid_text(nodes, elements, scalar_name, values) -> str:
 
     total = sum(len(conn) + 1 for _, _, conn in elements.rows)
     lines.append(f"CELLS {len(elements.rows)} {total}")
-    for _, _, conn in elements.rows:
-        try:
-            ids = [index[n] for n in conn]
-        except KeyError as exc:
-            raise ValueError(f"element references unknown node {exc}") from None
-        lines.append(" ".join(str(v) for v in [len(ids)] + ids))
+    try:
+        for _, _, conn in elements.rows:
+            lines.append(" ".join((str(len(conn)), *map(index.__getitem__, conn))))
+    except KeyError as exc:
+        raise ValueError(f"element references unknown node {exc}") from None
 
     lines.append(f"CELL_TYPES {len(elements.rows)}")
     for _, etype, conn in elements.rows:

@@ -144,6 +144,14 @@ def _require(kind, value, what, record):
     raise MalformedRecord(f"{what} is not {_KIND_NAMES[kind]} in record {record}")
 
 
+def _floats(attrs, what, record) -> tuple:
+    """*attrs* as a tuple, after one check that every item is a float."""
+    attrs = tuple(attrs)
+    if all(isinstance(a, float) for a in attrs):
+        return attrs
+    raise MalformedRecord(f"{what} is not {_KIND_NAMES[float]} in record {record}")
+
+
 def _last_wins(rows, what) -> list:
     """Rows keyed by their first cell; a repeated id warns and its last row
     replaces the earlier one at the end of the order."""
@@ -170,7 +178,7 @@ def _id_components(stream, key, what, component):
         if not rec.attributes:
             raise MalformedRecord(f"{what} record has no attributes: {rec}")
         nid = _require(int, rec.attributes[0], "node id", rec)
-        yield nid, tuple(_require(float, a, component, rec) for a in rec.attributes[1:])
+        yield nid, _floats(rec.attributes[1:], component, rec)
 
 
 def extract_nodes(stream) -> NodeTable:
@@ -232,9 +240,7 @@ def extract_stresses(stream) -> StressTable:
         elif rec.key == KEY_STRESS:
             if header is None:
                 raise MalformedRecord("stress record with no preceding element header")
-            comps = tuple(
-                _require(float, a, "stress component", rec) for a in rec.attributes
-            )
+            comps = _floats(rec.attributes, "stress component", rec)
             if len(comps) not in (4, 6):
                 raise MalformedRecord(
                     f"stress record carries {len(comps)} components, expected 4 or 6"

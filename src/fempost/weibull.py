@@ -21,6 +21,7 @@ Lecture Notes in Mathematics 630, 1978).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,62 @@ class FailureSample:
 # positions of (S11, S22, S33, S12, S13, S23) in the symmetric 3x3 tensor
 _TENSOR_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
+#: Below this r = det(A - qI) / (2 p**3) the two largest eigenvalues nearly
+#: coincide and acos(r) has lost about sqrt(eps): such tensors go to eigvalsh.
+_R_FALLBACK = -1.0 + 1e-4
+#: A scaled tensor whose p**2 is at or below this returns q, which is off by
+#: at most 2p = 2**-299; below it p**3 could underflow.
+_P2_ISOTROPIC = 2.0**-600
+#: Lowest scale exponent: the factor 2**1000 stays finite and lifts even a
+#: subnormal tensor's largest component to 2**-74 or more.
+_MIN_EXPONENT = -1000
+#: Component types of a tuple or list that takes the single-tensor path.
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
+def _invariants(a11, a22, a33, a12, a13, a23):
+    """q = tr(A)/3, p**2 = |A - qI|**2 / 6 and det(A - qI), for floats or arrays.
+
+    The single-tensor and batch paths share this arithmetic, so they agree
+    bit for bit."""
+    q = (a11 + a22 + a33) / 3.0
+    b11, b22, b33 = a11 - q, a22 - q, a33 - q
+    p2 = (b11 * b11 + b22 * b22 + b33 * b33 + 2.0 * (a12 * a12 + a13 * a13 + a23 * a23)) / 6.0
+    det = (
+        b11 * (b22 * b33 - a23 * a23)
+        - a12 * (a12 * b33 - a23 * a13)
+        + a13 * (a12 * a23 - b22 * a13)
+    )
+    return q, p2, det
+
+
+def _eigvalsh_max(c6):
+    """Largest eigenvalue of each (..., 6) tensor by LAPACK."""
+    return np.linalg.eigvalsh(np.take(c6, _TENSOR_INDEX, axis=-1))[..., -1]
+
+
+def _not_finite(values, row=()):
+    where = f" in row {row[0] if len(row) == 1 else row}" if row else ""
+    return ValueError(f"stress components must be finite, got {values}{where}")
+
+
+def _sigma1_one(c):
+    """max_principal_stress of a tuple or list of 4 or 6 Python floats or
+    ints, with ``math`` alone."""
+    if not all(map(math.isfinite, c)):
+        raise _not_finite(list(c))
+    if len(c) == 4:
+        c = (*c, 0.0, 0.0)
+    s = math.ldexp(1.0, -max(math.frexp(max(max(c), -min(c)))[1], _MIN_EXPONENT))
+    q, p2, det = _invariants(*[x * s for x in c])
+    if p2 <= _P2_ISOTROPIC:
+        return q / s
+    p = math.sqrt(p2)
+    r = min(det / (2.0 * p * p2), 1.0)
+    if r < _R_FALLBACK:
+        return float(_eigvalsh_max(np.array(c, dtype=float)))
+    return (q + 2.0 * p * math.cos(math.acos(r) / 3.0)) / s
+
 
 def max_principal_stress(components):
     """Largest eigenvalue of a symmetric stress tensor.
@@ -113,16 +170,51 @@ def max_principal_stress(components):
     Accepts 4 components (S11, S22, S33, S12; plane problems) or 6 components
     (S11, S22, S33, S12, S13, S23) along the last axis.  One tensor returns a
     ``float``; a batch of shape ``(..., 4|6)`` returns an array of shape
-    ``(...)``.
+    ``(...)``.  A tuple or list of 4 or 6 Python floats or ints is computed
+    with ``math`` alone, anything else through numpy.  Both paths do the
+    same arithmetic, so a batch equals its rows taken one at a time bit for
+    bit.
+
+    The method is closed form (O. K. Smith, Comm. ACM 4(4), 1961): scale the
+    tensor A by a power of two so its largest component lies in [0.5, 1),
+    form q = tr(A)/3, p**2 = |A - qI|**2 / 6 and r = det(A - qI) / (2 p**3),
+    and return q + 2p cos(acos(r)/3), scaled back.  An isotropic tensor
+    (p = 0) returns q.  When the two largest eigenvalues (nearly) coincide,
+    r < -1 + 1e-4 and acos loses accuracy, so such a tensor is handed to
+    ``np.linalg.eigvalsh``.  The result is within 1e-13 times the largest
+    absolute component of the exact eigenvalue.  A non-finite component
+    raises ValueError naming the first bad row.
     """
+    if (
+        type(components) in (tuple, list)
+        and len(components) in (4, 6)
+        and _PLAIN_NUMBERS.issuperset(map(type, components))
+    ):
+        return _sigma1_one(components)
     c = np.asarray(components, dtype=float)
     if c.ndim == 0 or c.shape[-1] not in (4, 6):
         raise ValueError(f"expected 4 or 6 stress components, got shape {c.shape}")
+    rows = c.reshape(-1, c.shape[-1])
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        row = tuple(int(k) for k in np.unravel_index(i, c.shape[:-1]))
+        raise _not_finite(rows[i].tolist(), row)
     if c.shape[-1] == 4:
-        padded = np.zeros(c.shape[:-1] + (6,))
-        padded[..., :4] = c
-        c = padded
-    sigma1 = np.linalg.eigvalsh(c.take(_TENSOR_INDEX, axis=-1))[..., -1]
+        rows = np.pad(rows, ((0, 0), (0, 2)))
+    s = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(rows).max(axis=1))[1], _MIN_EXPONENT))
+    q, p2, det = _invariants(*(rows * s[:, None]).T)
+    isotropic = p2 <= _P2_ISOTROPIC
+    p2 = np.where(isotropic, 1.0, p2)
+    p = np.sqrt(p2)
+    r = np.clip(det / (2.0 * p * p2), -1.0, 1.0)
+    cos = np.array([math.cos(math.acos(x) / 3.0) for x in r.tolist()])
+    with np.errstate(over="ignore"):
+        sigma1 = np.where(isotropic, q, q + 2.0 * p * cos) / s
+    fallback = r < _R_FALLBACK
+    if fallback.any():
+        sigma1[fallback] = _eigvalsh_max(rows[fallback])
+    sigma1 = sigma1.reshape(c.shape[:-1])
     return float(sigma1) if sigma1.ndim == 0 else sigma1
 
 

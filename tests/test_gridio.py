@@ -139,6 +139,19 @@ class TestGridBytes:
             "CELL_DATA 1\nSCALARS s double 1\nLOOKUP_TABLE default\n-2.5\n"
         )
 
+    def test_mixed_tri_quad_text(self):
+        # cell indices follow the node table's order, not the node ids
+        nodes = NodeTable(
+            [(10, (0.0, 0.0)), (20, (1.0, 0.0)), (50, (2.0, 0.5)), (30, (1.0, 1.0)), (40, (0.0, 1.0))]
+        )
+        elements = ElementTable([(1, "CPE4", (10, 20, 30, 40)), (2, "CPE3", (20, 50, 30))])
+        assert unstructured_grid_text(nodes, elements, "log10_Pf", [0.125, -3.0]) == (
+            "# vtk DataFile Version 3.0\nhazard map\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            "POINTS 5 double\n0 0 0\n1 0 0\n2 0.5 0\n1 1 0\n0 1 0\n"
+            "CELLS 2 9\n4 0 1 3 4\n3 1 2 3\nCELL_TYPES 2\n9\n5\n"
+            "CELL_DATA 2\nSCALARS log10_Pf double 1\nLOOKUP_TABLE default\n0.125\n-3\n"
+        )
+
     @pytest.mark.parametrize("dim, label", [(2, "CPE4"), (3, "C3D4")])
     def test_numbers_as_format_writes_them(self, dim, label):
         rng = np.random.default_rng(401)
@@ -154,6 +167,12 @@ class TestGridBytes:
         points, scalars = formatted_lines(coords, values)
         assert lines[5 : 5 + len(coords)] == points
         assert lines[-1 - len(values) : -1] == scalars
+
+    def test_unknown_node_rejected(self):
+        nodes, _ = unit_quad()
+        elements = ElementTable([(1, "CPE4", (1, 2, 3, 4)), (2, "CPE3", (2, 99, 3))])
+        with pytest.raises(ValueError, match=r"^element references unknown node 99$"):
+            unstructured_grid_text(nodes, elements, "s", [1.0, 2.0])
 
     def test_more_than_three_coordinates_rejected(self):
         nodes = NodeTable([(1, (0.0, 0.0, 0.0, 0.0))])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +128,172 @@ class TestMaxPrincipalStress:
             expected = float(np.max(roots.real))
             got = max_principal_stress([s11, s22, s33, s12, s13, s23])
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-8)
+
+
+def tensors_with_eigenvalues(rng, eigenvalues):
+    """(n, 6) component rows of Q diag(eigenvalues) Q' for random rotations Q."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), 3, 3)))
+    a = q @ (eigenvalues[:, :, None] * np.swapaxes(q, 1, 2))
+    return a[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+
+
+TENSOR_FAMILIES = (
+    "random",
+    "repeated largest",
+    "near-repeated largest",
+    "repeated smallest",
+    "near-isotropic",
+    "4 components",
+    "1e-300 scale",
+    "1e300 scale",
+)
+
+
+def tensor_family(name, n=2000):
+    """Seeded adversarial (n, 6) tensors for the closed-form sigma1 kernel."""
+    rng = np.random.default_rng(TENSOR_FAMILIES.index(name))
+    if name == "random":
+        return rng.normal(scale=100.0, size=(n, 6))
+    if name == "4 components":
+        return np.pad(rng.normal(scale=100.0, size=(n, 4)), ((0, 0), (0, 2)))
+    if name.endswith(" scale"):
+        return rng.normal(size=(n, 6)) * float(name.split()[0])
+    lam = rng.normal(scale=100.0, size=(n, 3))
+    gap = np.abs(rng.normal(scale=100.0, size=n))
+    if name == "repeated largest":
+        lam[:, 1], lam[:, 2] = lam[:, 0], lam[:, 0] - gap
+    elif name == "near-repeated largest":
+        lam[:, 1] = lam[:, 0] - np.abs(lam[:, 0]) * 10.0 ** rng.uniform(-14, -1, n)
+        lam[:, 2] = lam[:, 0] - gap
+    elif name == "repeated smallest":
+        lam[:, 1], lam[:, 2] = lam[:, 0], lam[:, 0] + gap
+    else:  # near-isotropic
+        lam = lam[:, :1] + rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-14, 0, (n, 1))
+    return tensors_with_eigenvalues(rng, lam)
+
+
+def assert_close_to_eigvalsh(rows, sigma1):
+    """|sigma1 - eigvalsh| <= 1e-13 max|component| for (..., 6) rows."""
+    reference = np.linalg.eigvalsh(rows.take(weibull._TENSOR_INDEX, axis=-1))[..., -1]
+    assert np.all(np.abs(sigma1 - reference) <= 1e-13 * np.abs(rows).max(axis=-1))
+
+
+def assert_within_exact(components, sigma1):
+    """|sigma1 - largest eigenvalue| <= 1e-13 max|component|, decided in exact
+    rational arithmetic on the characteristic polynomial f(x) = det(xI - A)
+    = x**3 - i1 x**2 + i2 x - i3.  Its roots are real, so every root is at
+    most x exactly when f, f' and f'' are all >= 0 at x."""
+    s11, s22, s33, s12, s13, s23 = map(Fraction, components)
+    i1 = s11 + s22 + s33
+    i2 = s11 * s22 + s22 * s33 + s11 * s33 - s12 * s12 - s13 * s13 - s23 * s23
+    i3 = (
+        s11 * s22 * s33 + 2 * s12 * s13 * s23
+        - s11 * s23 * s23 - s22 * s13 * s13 - s33 * s12 * s12
+    )
+
+    def f(x):
+        return ((x - i1) * x + i2) * x - i3
+
+    def roots_at_most(x):
+        return f(x) >= 0 and (3 * x - 2 * i1) * x + i2 >= 0 and 6 * x - 2 * i1 >= 0
+
+    delta = Fraction(1e-13) * max(map(abs, (s11, s22, s33, s12, s13, s23)))
+    hi, lo = Fraction(sigma1) + delta, Fraction(sigma1) - delta
+    assert roots_at_most(hi), "an eigenvalue lies above sigma1 + delta"
+    assert not (roots_at_most(lo) and f(lo) > 0), "every eigenvalue lies below sigma1 - delta"
+
+
+finite_components = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+class TestMaxPrincipalClosedForm:
+    """The closed-form kernel against LAPACK, and the single-tensor path
+    against the batch path."""
+
+    @pytest.mark.parametrize("family", TENSOR_FAMILIES)
+    def test_family_matches_eigvalsh(self, family):
+        rows = tensor_family(family)
+        ncomp = 4 if family == "4 components" else 6
+        batch = max_principal_stress(rows[:, :ncomp])
+        assert_close_to_eigvalsh(rows, batch)
+        single = [max_principal_stress(tuple(r)) for r in rows[:, :ncomp].tolist()]
+        assert all(type(v) is float for v in single)
+        assert batch.tolist() == single
+
+    def test_mixed_batch_equals_rows(self, monkeypatch):
+        # fallback rows (a repeated largest eigenvalue) interleaved with
+        # closed-form rows
+        rows = np.empty((400, 6))
+        rows[0::2] = tensor_family("repeated largest", 200)
+        rows[1::2] = tensor_family("random", 200)
+        handed_over = []
+        eigvalsh_max = weibull._eigvalsh_max
+
+        def spy(c6):
+            handed_over.append(len(c6))
+            return eigvalsh_max(c6)
+
+        monkeypatch.setattr(weibull, "_eigvalsh_max", spy)
+        batch = max_principal_stress(rows)
+        assert len(handed_over) == 1 and 0 < handed_over[0] < 400
+        single = [max_principal_stress(tuple(r)) for r in rows.tolist()]
+        assert batch.tolist() == single
+        assert_close_to_eigvalsh(rows, batch)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([4, 6]).flatmap(lambda n: st.lists(finite_components, min_size=n, max_size=n)))
+    def test_property_exact_bound_and_batch(self, components):
+        # the exact reference, not eigvalsh: on [0, 0, 4.96e159, 4.96e159,
+        # -5788, 1.23e221] eigvalsh itself is off by 1.9e-13 max|component|
+        sigma1 = max_principal_stress(components)
+        assert type(sigma1) is float
+        assert_within_exact(components + [0.0] * (6 - len(components)), sigma1)
+        assert max_principal_stress(np.array([components] * 2)).tolist() == [sigma1] * 2
+
+    @pytest.mark.parametrize("components", [(2.0, 2.0, 1.0, 0.0, 0.0, 0.0), (2.0, 2.0, 1.0, 0.0)])
+    def test_repeated_largest_reproducer(self, components):
+        # acos(r) at r = -1 printed 2.0000000040555825 for diag(2, 2, 1)
+        assert max_principal_stress(components) == 2.0
+        assert max_principal_stress(np.array([components])).tolist() == [2.0]
+
+    @pytest.mark.parametrize(
+        "components, expected",
+        [
+            ((0.0,) * 6, 0.0),
+            ((0.0,) * 4, 0.0),
+            ((3.5, 3.5, 3.5, 0.0, 0.0, 0.0), 3.5),
+            ((-1e-310, -1e-310, -1e-310, 0.0), -1e-310),
+        ],
+    )
+    def test_zero_and_isotropic(self, components, expected):
+        assert max_principal_stress(components) == expected
+        assert max_principal_stress(np.array([components])).tolist() == [expected]
+
+    def test_numpy_scalars_and_ints(self):
+        floats = (101.25, -33.0, 45.5, 12.0, -7.5, 3.25)
+        expected = max_principal_stress(floats)
+        assert max_principal_stress(tuple(map(np.float64, floats))) == expected
+        assert max_principal_stress([3, 2, 1, 0]) == max_principal_stress([3.0, 2.0, 1.0, 0.0])
+        assert type(max_principal_stress(np.array(floats))) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 3, 5])
+    def test_non_finite_raises(self, bad, position):
+        components = [1.0, 2.0, 3.0, 0.5, 0.25, 0.125]
+        components[position] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            max_principal_stress(components)
+        if position < 4:
+            with pytest.raises(ValueError, match="must be finite"):
+                max_principal_stress(tuple(components[:4]))
+        rows = np.ones((5, 6))
+        rows[3:, position] = bad
+        with pytest.raises(ValueError, match=r"must be finite, got .* in row 3$"):
+            max_principal_stress(rows)
+        grid = np.ones((2, 3, 6))
+        grid[1, 1:, position] = bad
+        with pytest.raises(ValueError, match=r"in row \(1, 1\)$"):
+            max_principal_stress(grid)
 
 
 class TestWeibullStress:

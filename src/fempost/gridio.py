@@ -23,6 +23,9 @@ _CELL_TYPES = {
     (True, 8): 12,    # hexahedron
 }
 
+# POINTS line of a node with 0, 1, 2 or 3 coordinates: missing ones are zero
+_POINT_FORMATS = ("0 0 0", "%.10g 0 0", "%.10g %.10g 0", "%.10g %.10g %.10g")
+
 
 def unstructured_grid_text(nodes, elements, scalar_name, values) -> str:
     """Return a legacy unstructured-grid file with one cell scalar as text.
@@ -46,8 +49,8 @@ def unstructured_grid_text(nodes, elements, scalar_name, values) -> str:
     ]
     try:
         for _, coords in nodes.rows:
-            lines.append("%.10g %.10g %.10g" % (tuple(coords) + (0.0,) * (3 - len(coords))))
-    except TypeError:
+            lines.append(_POINT_FORMATS[len(coords)] % tuple(coords))
+    except (TypeError, IndexError):
         raise ValueError("a grid point takes one to three numeric coordinates") from None
 
     total = sum(len(conn) + 1 for _, _, conn in elements.rows)
@@ -59,11 +62,16 @@ def unstructured_grid_text(nodes, elements, scalar_name, values) -> str:
         raise ValueError(f"element references unknown node {exc}") from None
 
     lines.append(f"CELL_TYPES {len(elements.rows)}")
+    cell_types = {}  # (label, node count) -> cell type id as text
     for _, etype, conn in elements.rows:
-        cell = _CELL_TYPES.get((etype.startswith("C3D"), len(conn)))
+        shape = etype, len(conn)
+        cell = cell_types.get(shape)
         if cell is None:
-            raise ValueError(f"no cell type mapping for {len(conn)}-node {etype} elements")
-        lines.append(str(cell))
+            cell = _CELL_TYPES.get((etype.startswith("C3D"), len(conn)))
+            if cell is None:
+                raise ValueError(f"no cell type mapping for {len(conn)}-node {etype} elements")
+            cell = cell_types[shape] = str(cell)
+        lines.append(cell)
 
     lines.append(f"CELL_DATA {len(elements.rows)}")
     lines.append(f"SCALARS {scalar_name} double 1")

@@ -5,12 +5,15 @@ for its record key and assembles a small tabular result.  The inverse
 generators build the same records back from tables; they are used to fabricate
 test fixtures in place of a real solver run.
 
-Every extractor follows the same rules.  Attributes are type-checked one by
-one (a mismatch raises :class:`MalformedRecord`).  Where an id must be unique
-(nodes, elements) a duplicate keeps the last record, moves it to the end of
-the row order and emits a ``UserWarning``.  Every table has one component
-width: mixed coordinate dimensions, nodal-field component counts or stress
-component counts raise :class:`MalformedRecord`.
+Every extractor follows the same rules.  A record's attributes are
+type-checked with one test per record; only a record that fails it is checked
+attribute by attribute, so a mismatch raises :class:`MalformedRecord` naming
+the first bad attribute.  Int and float subclasses (``bool`` included) pass;
+numpy integer scalars do not.  Where an id must be unique (nodes, elements) a
+duplicate keeps the last record, moves it to the end of the row order and
+emits a ``UserWarning``.  Every table has one component width: mixed
+coordinate dimensions, nodal-field component counts or stress component
+counts raise :class:`MalformedRecord`.
 
 Key conventions used by this package:
 
@@ -136,20 +139,16 @@ class StressTable(_Table):
 
 
 _KIND_NAMES = {int: "an integer", float: "a float", str: "a string"}
+_INT = frozenset((int,))
+_FLOAT = frozenset((float,))
 
 
-def _require(kind, value, what, record):
-    if isinstance(value, kind):
-        return value
-    raise MalformedRecord(f"{what} is not {_KIND_NAMES[kind]} in record {record}")
-
-
-def _floats(attrs, what, record) -> tuple:
-    """*attrs* as a tuple, after one check that every item is a float."""
-    attrs = tuple(attrs)
-    if all(isinstance(a, float) for a in attrs):
-        return attrs
-    raise MalformedRecord(f"{what} is not {_KIND_NAMES[float]} in record {record}")
+def _require(kind, values, what, record):
+    """Raise MalformedRecord naming the first of *values* that is not a
+    *kind*; the failure path of each extractor's one test per record."""
+    for value in values:
+        if not isinstance(value, kind):
+            raise MalformedRecord(f"{what} is not {_KIND_NAMES[kind]} in record {record}")
 
 
 def _last_wins(rows, what) -> list:
@@ -175,10 +174,14 @@ def _id_components(stream, key, what, component):
     for rec in stream:
         if rec.key != key:
             continue
-        if not rec.attributes:
+        attrs = rec.attributes
+        if not attrs:
             raise MalformedRecord(f"{what} record has no attributes: {rec}")
-        nid = _require(int, rec.attributes[0], "node id", rec)
-        yield nid, _floats(rec.attributes[1:], component, rec)
+        nid, comps = attrs[0], tuple(attrs[1:])
+        if type(nid) is not int or not _FLOAT.issuperset(map(type, comps)):
+            _require(int, (nid,), "node id", rec)
+            _require(float, comps, component, rec)
+        yield nid, comps
 
 
 def extract_nodes(stream) -> NodeTable:
@@ -192,12 +195,15 @@ def extract_nodes(stream) -> NodeTable:
 
 
 def _element_row(rec) -> tuple:
-    if len(rec.attributes) < 2:
+    attrs = rec.attributes
+    if len(attrs) < 2:
         raise MalformedRecord(f"element record too short: {rec}")
-    eid = _require(int, rec.attributes[0], "element id", rec)
-    etype = _require(str, rec.attributes[1], "element type", rec)
-    conn = tuple(_require(int, a, "connectivity entry", rec) for a in rec.attributes[2:])
-    if any(n < 1 for n in conn):
+    eid, etype, conn = attrs[0], attrs[1], tuple(attrs[2:])
+    if type(eid) is not int or type(etype) is not str or not _INT.issuperset(map(type, conn)):
+        _require(int, (eid,), "element id", rec)
+        _require(str, (etype,), "element type", rec)
+        _require(int, conn, "connectivity entry", rec)
+    if conn and min(conn) < 1:
         raise MalformedRecord(f"connectivity node id < 1 in record {rec}")
     return eid, etype.rstrip(), conn
 
@@ -227,25 +233,32 @@ def extract_stresses(stream) -> StressTable:
     recent key-1 record in stream order.
     """
     rows = []
-    header = None
+    ip = None  # integration point of the current header; None before the first
     for rec in stream:
-        if rec.key == KEY_ELEMENT_HEADER:
-            if len(rec.attributes) < 2:
+        key = rec.key
+        if key == KEY_ELEMENT_HEADER:
+            attrs = rec.attributes
+            if len(attrs) < 2:
                 raise MalformedRecord(f"element header record too short: {rec}")
-            eid = _require(int, rec.attributes[0], "element id", rec)
-            ip = _require(int, rec.attributes[1], "integration point", rec)
+            eid, ip = attrs[0], attrs[1]
+            if type(eid) is not int or type(ip) is not int:
+                _require(int, (eid,), "element id", rec)
+                _require(int, (ip,), "integration point", rec)
             if ip < 1:
                 raise MalformedRecord(f"integration point {ip} < 1 in record {rec}")
-            header = (eid, ip)
-        elif rec.key == KEY_STRESS:
-            if header is None:
-                raise MalformedRecord("stress record with no preceding element header")
-            comps = _floats(rec.attributes, "stress component", rec)
+        elif key == KEY_STRESS:
+            if ip is None:
+                raise MalformedRecord(
+                    f"stress record with no preceding element header in record {rec}"
+                )
+            comps = tuple(rec.attributes)
+            if not _FLOAT.issuperset(map(type, comps)):
+                _require(float, comps, "stress component", rec)
             if len(comps) not in (4, 6):
                 raise MalformedRecord(
                     f"stress record carries {len(comps)} components, expected 4 or 6"
                 )
-            rows.append((header[0], header[1], comps))
+            rows.append((eid, ip, comps))
     return StressTable(_one_width(rows, "component counts"))
 
 

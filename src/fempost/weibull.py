@@ -66,6 +66,13 @@ class WeibullParams:
         check_number("V0", self.V0)
 
 
+def _require_all(ok, values, rule):
+    """Raise ValueError naming the first element index where *ok* is False."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"all element {rule}, got {values[i]} at element index {i}")
+
+
 @dataclass(frozen=True)
 class ElementField:
     """Per-element (max principal stress, volume) arrays at one load level."""
@@ -81,10 +88,10 @@ class ElementField:
         volume = np.atleast_1d(np.asarray(self.volume, dtype=float))
         if sigma1.shape != volume.shape or sigma1.ndim != 1 or sigma1.size < 1:
             raise ValueError("sigma1 and volume must be equal-length 1-d arrays")
-        if not np.all(np.isfinite(sigma1)):
-            raise ValueError("all element sigma1 values must be finite")
-        if not np.all(np.isfinite(volume) & (volume > 0)):
-            raise ValueError("all element volumes must be positive and finite")
+        _require_all(np.isfinite(sigma1), sigma1, "sigma1 values must be finite")
+        _require_all(
+            np.isfinite(volume) & (volume > 0), volume, "volumes must be positive and finite"
+        )
         object.__setattr__(self, "sigma1", sigma1)
         object.__setattr__(self, "volume", volume)
 
@@ -152,16 +159,20 @@ def _sigma1_one(c):
     if not all(map(math.isfinite, c)):
         raise _not_finite(list(c))
     if len(c) == 4:
-        c = (*c, 0.0, 0.0)
-    s = math.ldexp(1.0, -max(math.frexp(max(max(c), -min(c)))[1], _MIN_EXPONENT))
-    q, p2, det = _invariants(*[x * s for x in c])
+        a11, a22, a33, a12 = c
+        a13 = a23 = 0.0
+    else:
+        a11, a22, a33, a12, a13, a23 = c
+    e = math.frexp(max(max(c), -min(c)))[1]
+    s = math.ldexp(1.0, -e if e > _MIN_EXPONENT else -_MIN_EXPONENT)
+    q, p2, det = _invariants(a11 * s, a22 * s, a33 * s, a12 * s, a13 * s, a23 * s)
     if p2 <= _P2_ISOTROPIC:
         return q / s
     p = math.sqrt(p2)
-    r = min(det / (2.0 * p * p2), 1.0)
+    r = det / (2.0 * p * p2)
     if r < _R_FALLBACK:
-        return float(_eigvalsh_max(np.array(c, dtype=float)))
-    return (q + 2.0 * p * math.cos(math.acos(r) / 3.0)) / s
+        return float(_eigvalsh_max(np.array((a11, a22, a33, a12, a13, a23), dtype=float)))
+    return (q + 2.0 * p * math.cos(math.acos(r if r < 1.0 else 1.0) / 3.0)) / s
 
 
 def max_principal_stress(components):

@@ -179,3 +179,54 @@ class TestGridBytes:
         elements = ElementTable([(1, "C3D4", (1, 1, 1, 1))])
         with pytest.raises(ValueError, match="one to three"):
             unstructured_grid_text(nodes, elements, "s", [1.0])
+
+
+class TestGridGolden:
+    """Full text of a C3D8 + C3D4 + CPE4 mesh for nodes carrying 0 to 3
+    coordinates; node ids are out of table order and each (label, node count)
+    repeats, so the per-call format and cell-type lookups are both reused."""
+
+    XYZ = [
+        (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0),
+        (0.0, 0.0, 0.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.5), (0.0, 1.0, 0.5),
+        (-1.25, 1e-07, 3.0e12), (2.0 / 3.0, -0.0, 12345678901.0),
+    ]
+    IDS = [8, 1, 2, 3, 4, 5, 6, 7, 20, 10]
+    ELEMENTS = [
+        (1, "C3D8", (1, 2, 3, 4, 5, 6, 7, 8)),
+        (2, "C3D4", (1, 2, 4, 5)),
+        (3, "CPE4", (20, 10, 3, 2)),
+        (4, "C3D4", (2, 3, 4, 7)),
+        (5, "CPE4", (1, 2, 3, 4)),
+        (6, "C3D8", (5, 6, 7, 8, 1, 2, 3, 20)),
+    ]
+    VALUES = [-2.5, 0.0, -0.0, 1e-300, -16.0, 0.1 + 0.2]
+    HEAD = (
+        "# vtk DataFile Version 3.0\nhazard map\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        "POINTS 10 double\n"
+    )
+    POINTS = {
+        0: "0 0 0\n0 0 0\n0 0 0\n0 0 0\n0 0 0\n0 0 0\n0 0 0\n0 0 0\n0 0 0\n0 0 0\n",
+        1: "0 0 0\n1 0 0\n1 0 0\n0 0 0\n0 0 0\n1 0 0\n1 0 0\n0 0 0\n-1.25 0 0\n0.6666666667 0 0\n",
+        2: (
+            "0 0 0\n1 0 0\n1 1 0\n0 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n"
+            "-1.25 1e-07 0\n0.6666666667 -0 0\n"
+        ),
+        3: (
+            "0 0 0\n1 0 0\n1 1 0\n0 1 0\n0 0 0.5\n1 0 0.5\n1 1 0.5\n0 1 0.5\n"
+            "-1.25 1e-07 3e+12\n0.6666666667 -0 1.23456789e+10\n"
+        ),
+    }
+    TAIL = (
+        "CELLS 6 38\n8 1 2 3 4 5 6 7 0\n4 1 2 4 5\n4 8 9 3 2\n4 2 3 4 7\n4 1 2 3 4\n"
+        "8 5 6 7 0 1 2 3 8\n"
+        "CELL_TYPES 6\n12\n10\n9\n10\n9\n12\n"
+        "CELL_DATA 6\nSCALARS log10_Pf double 1\nLOOKUP_TABLE default\n"
+        "-2.5\n0\n-0\n1e-300\n-16\n0.3\n"
+    )
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3])
+    def test_text(self, dim):
+        nodes = NodeTable([(nid, xyz[:dim]) for nid, xyz in zip(self.IDS, self.XYZ)])
+        text = unstructured_grid_text(nodes, ElementTable(self.ELEMENTS), "log10_Pf", self.VALUES)
+        assert text == self.HEAD + self.POINTS[dim] + self.TAIL

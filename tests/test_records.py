@@ -1,10 +1,16 @@
+import enum
 import io
 import random
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import canonical_float
+from fempost import records
 from fempost._base import FempostError, read_csv
 from fempost.filcodec import LogicalRecord, decode_stream, encode_stream
 from fempost.records import (
@@ -118,6 +124,15 @@ class TestExtractStresses:
     def test_orphan_stress(self):
         with pytest.raises(MalformedRecord):
             extract_stresses([LogicalRecord(11, (1.0, 2.0, 3.0, 4.0))])
+
+    def test_orphan_stress_names_record(self):
+        orphan = LogicalRecord(11, (1.0, 2.0, 3.0, 4.0))
+        with pytest.raises(
+            MalformedRecord,
+            match=r"^stress record with no preceding element header in record "
+            + re.escape(str(orphan)) + "$",
+        ):
+            extract_stresses([LogicalRecord(104, (1, 0.5)), orphan])
 
     def test_mixed_widths_rejected(self):
         recs = stress_records(
@@ -353,3 +368,216 @@ class TestDuplicateIds:
         assert [r[0] for r in table.rows] == [2, 1]
         assert table.rows == [(2, "CPE4", (2, 3, 4, 5)), (1, "CPE3", (7, 8, 9))]
         assert len(caught) == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference extractors that check each attribute with its own call.  The
+# library's one test per record must give the same rows, element types,
+# warnings and error messages.  The orphan-stress message names the record,
+# like every other message.
+
+_KIND_NAMES = {int: "an integer", float: "a float", str: "a string"}
+
+
+def _ref_require(kind, value, what, record):
+    if isinstance(value, kind):
+        return value
+    raise MalformedRecord(f"{what} is not {_KIND_NAMES[kind]} in record {record}")
+
+
+def _ref_floats(attrs, what, record):
+    attrs = tuple(attrs)
+    if all(isinstance(a, float) for a in attrs):
+        return attrs
+    raise MalformedRecord(f"{what} is not {_KIND_NAMES[float]} in record {record}")
+
+
+def _ref_id_components(stream, key, what, component):
+    for rec in stream:
+        if rec.key != key:
+            continue
+        if not rec.attributes:
+            raise MalformedRecord(f"{what} record has no attributes: {rec}")
+        nid = _ref_require(int, rec.attributes[0], "node id", rec)
+        yield nid, _ref_floats(rec.attributes[1:], component, rec)
+
+
+def _ref_element_row(rec):
+    if len(rec.attributes) < 2:
+        raise MalformedRecord(f"element record too short: {rec}")
+    eid = _ref_require(int, rec.attributes[0], "element id", rec)
+    etype = _ref_require(str, rec.attributes[1], "element type", rec)
+    conn = tuple(_ref_require(int, a, "connectivity entry", rec) for a in rec.attributes[2:])
+    if any(n < 1 for n in conn):
+        raise MalformedRecord(f"connectivity node id < 1 in record {rec}")
+    return eid, etype.rstrip(), conn
+
+
+def ref_extract_nodes(stream):
+    rows = records._last_wins(
+        _ref_id_components(stream, 1901, "node", "nodal coordinate"), "node"
+    )
+    return NodeTable(records._one_width(rows, "coordinate dimensions"))
+
+
+def ref_extract_elements(stream):
+    rows = (_ref_element_row(rec) for rec in stream if rec.key == 1900)
+    return ElementTable(records._last_wins(rows, "element"))
+
+
+def ref_extract_nodal_field(stream, key):
+    rows = list(_ref_id_components(stream, key, "nodal field", "field component"))
+    return NodalFieldTable(key, records._one_width(rows, "component counts"))
+
+
+def ref_extract_stresses(stream):
+    rows = []
+    header = None
+    for rec in stream:
+        if rec.key == 1:
+            if len(rec.attributes) < 2:
+                raise MalformedRecord(f"element header record too short: {rec}")
+            eid = _ref_require(int, rec.attributes[0], "element id", rec)
+            ip = _ref_require(int, rec.attributes[1], "integration point", rec)
+            if ip < 1:
+                raise MalformedRecord(f"integration point {ip} < 1 in record {rec}")
+            header = (eid, ip)
+        elif rec.key == 11:
+            if header is None:
+                raise MalformedRecord(
+                    f"stress record with no preceding element header in record {rec}"
+                )
+            comps = _ref_floats(rec.attributes, "stress component", rec)
+            if len(comps) not in (4, 6):
+                raise MalformedRecord(
+                    f"stress record carries {len(comps)} components, expected 4 or 6"
+                )
+            rows.append((header[0], header[1], comps))
+    return StressTable(records._one_width(rows, "component counts"))
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+class Real(float):
+    pass
+
+
+_small_ints = st.integers(-1, 6)
+_plain_floats = st.floats(allow_nan=True, allow_infinity=True)
+int_like = st.one_of(
+    _small_ints, st.booleans(), st.sampled_from(Level), _small_ints.map(np.int64)
+)
+float_like = st.one_of(_plain_floats, _plain_floats.map(Real), _plain_floats.map(np.float64))
+any_attribute = st.one_of(int_like, float_like, st.text(max_size=8))
+
+# a key's own layout draws plain ids and floats three times in four, so that
+# whole streams often pass
+_ids = st.one_of(*[st.integers(1, 6)] * 3, int_like)
+_floats = st.one_of(*[_plain_floats] * 3, float_like)
+
+#: Well-formed attribute layouts per key: (leading kinds, repeated kind, repeat range).
+LAYOUTS = {
+    1901: ([_ids], _floats, (0, 3)),
+    101: ([_ids], _floats, (1, 3)),
+    104: ([_ids], _floats, (1, 3)),
+    1900: ([_ids, st.text(max_size=8)], _ids, (0, 4)),
+    1: ([_ids, _ids], _ids, (0, 0)),
+    11: ([], _floats, (4, 6)),
+}
+
+
+@st.composite
+def fuzzed_records(draw):
+    """One or two records: a record of an extracted key (or key 7), laid out
+    either as its key expects, with at most one attribute swapped for any
+    kind and the tail possibly cut off, or as an arbitrary short list of
+    attributes.  A stress record laid out as its key expects comes after a
+    header; an arbitrary one may be an orphan."""
+    key = draw(st.sampled_from([*LAYOUTS, 7]))
+    if key == 7 or draw(st.integers(0, 7)) == 0:
+        return [LogicalRecord(key, tuple(draw(st.lists(any_attribute, max_size=4))))]
+    lead, repeated, (lo, hi) = LAYOUTS[key]
+    attrs = [draw(kind) for kind in lead]
+    attrs += draw(st.lists(repeated, min_size=lo, max_size=hi))
+    if attrs and draw(st.integers(0, 3)) == 0:
+        attrs[draw(st.integers(0, len(attrs) - 1))] = draw(any_attribute)
+    if draw(st.integers(0, 7)) == 0:
+        attrs = attrs[: draw(st.integers(0, len(attrs)))]
+    header = [LogicalRecord(1, (draw(_ids), draw(_ids)))] if key == 11 else []
+    return header + [LogicalRecord(key, tuple(attrs))]
+
+
+fuzzed_streams = st.lists(fuzzed_records(), max_size=8).map(lambda parts: sum(parts, []))
+
+
+def typed(value):
+    """*value* with every leaf replaced by (type, repr), so rows compare by
+    element type too and NaN compares equal to itself."""
+    if isinstance(value, (tuple, list)):
+        return type(value), [typed(v) for v in value]
+    return type(value), repr(value)
+
+
+def outcome(extract, stream):
+    """Rows (typed) and warnings of one extractor call, or its error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = extract(stream)
+        except Exception as exc:  # any class: the class is compared too
+            result = ("raised", type(exc), str(exc))
+        else:
+            result = ("rows", type(table), typed(table.rows))
+    return result, [str(w.message) for w in caught]
+
+
+class TestExtractorsMatchReference:
+    """Every extractor returns the reference's rows with equal element types,
+    or raises MalformedRecord with the same message, on fuzzed streams."""
+
+    PAIRS = [
+        (extract_nodes, ref_extract_nodes),
+        (extract_elements, ref_extract_elements),
+        (lambda s: extract_nodal_field(s, 101), lambda s: ref_extract_nodal_field(s, 101)),
+        (lambda s: extract_nodal_field(s, 104), lambda s: ref_extract_nodal_field(s, 104)),
+        (extract_stresses, ref_extract_stresses),
+    ]
+
+    @settings(max_examples=500, deadline=None)
+    @given(fuzzed_streams)
+    def test_same_rows_or_same_error(self, stream):
+        for extract, reference in self.PAIRS:
+            expected = outcome(reference, stream)
+            assert outcome(extract, stream) == expected
+            if expected[0][0] == "raised":
+                assert expected[0][1] is MalformedRecord
+
+    def test_fuzz_reaches_rows_and_errors(self):
+        # every extractor sees errors, empty tables and rows, and rows carry
+        # the int and float subclasses the one test per record lets through
+        outcomes = {i: set() for i in range(len(self.PAIRS))}
+        leaf_types = set()
+
+        def leaves(node):
+            kind, value = node
+            if isinstance(value, list):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield kind
+
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @given(fuzzed_streams)
+        def collect(stream):
+            for i, (_, reference) in enumerate(self.PAIRS):
+                (kind, _, rows), _ = outcome(reference, stream)
+                outcomes[i].add(kind if kind == "raised" else bool(rows[1]))
+                if kind == "rows":
+                    leaf_types.update(leaves(rows))
+
+        collect()
+        assert all(seen == {"raised", True, False} for seen in outcomes.values())
+        assert {bool, Level, Real, np.float64} <= leaf_types

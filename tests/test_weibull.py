@@ -397,6 +397,25 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="volumes"):
             ElementField(1.0, [1500.0, 1600.0], [1.0, bad])
 
+    def test_overflowing_sigma1_names_element(self):
+        # finite components whose largest eigenvalue exceeds the double range
+        huge = max_principal_stress([1.7e308] * 6)
+        assert huge == math.inf
+        sigma1 = [1500.0, 1600.0, huge, max_principal_stress(np.full((1, 6), 1.7e308))[0]]
+        with pytest.raises(
+            ValueError,
+            match=r"^all element sigma1 values must be finite, got inf at element index 2$",
+        ):
+            ElementField(1.0, sigma1, [1.0] * 4)
+
+    def test_bad_volume_names_element(self):
+        with pytest.raises(
+            ValueError,
+            match=r"^all element volumes must be positive and finite, "
+            r"got -0\.0 at element index 1$",
+        ):
+            ElementField(1.0, [1500.0, 1600.0, 1700.0], [1.0, -0.0, math.nan])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_failure_sample(self, bad):
         with pytest.raises(ValueError, match="failure load") as err:

@@ -3,14 +3,17 @@
 Subcommands: decode, extract, synth, weibull-fit, hazard, truss-opt,
 czm-identify, run.  Exit codes: 0 success, 1 usage error, 2 domain error.
 All numeric report output uses 6 significant digits so golden-file tests
-stay stable.
+stay stable.  Each subcommand builds all its output before it writes any, and
+every output option takes a file, a device, a pipe or - for stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -35,46 +38,48 @@ def _read_flat(path) -> str:
     return filcodec.fil_to_string(sys.stdin if path == "-" else path)
 
 
-def _out_stream(path):
-    return nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
-
-
 def _write_files(outputs) -> None:
-    """Write each ``(path, text)`` pair, or leave every file as it was.
+    """Write each ``(path, text)`` output as is, stdout (path None or -) last.
 
     Every file is opened without truncating before any is written; if one
-    cannot be opened, the files this call created are removed again.
+    cannot be opened, the files this call created are removed again.  Only
+    regular files are truncated, so devices and pipes take output too.
     """
+    files = [(path, text) for path, text in outputs if path not in (None, "-")]
     with ExitStack() as stack:
         created, handles = [], []
         try:
-            for path, _ in outputs:
+            for path, _ in files:
                 if not Path(path).exists():
                     created.append(Path(path))
-                handles.append(stack.enter_context(open(path, "a")))
+                handles.append(stack.enter_context(open(path, "a", newline="")))
         except OSError:
             stack.close()
             for path in created:
                 path.unlink(missing_ok=True)
             raise
-        for fh, (_, text) in zip(handles, outputs):
-            fh.truncate(0)
+        for fh, (_, text) in zip(handles, files):
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
             fh.write(text)
+    for path, text in outputs:
+        if path in (None, "-"):
+            print(text, end="")
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> list:
     stream = filcodec.decode_stream(_read_flat(args.input), lenient=args.lenient)
-    with _out_stream(args.output) as out:
-        for i, rec in enumerate(stream):
-            attrs = ", ".join(
-                _fmt(a) if isinstance(a, float) else repr(a) for a in rec.attributes
-            )
-            out.write(f"record {i}: key={rec.key} length={rec.length} attrs=[{attrs}]\n")
-        out.write(f"total records: {len(stream)}\n")
-    return 0
+    lines = []
+    for i, rec in enumerate(stream):
+        attrs = ", ".join(
+            _fmt(a) if isinstance(a, float) else repr(a) for a in rec.attributes
+        )
+        lines.append(f"record {i}: key={rec.key} length={rec.length} attrs=[{attrs}]\n")
+    lines.append(f"total records: {len(stream)}\n")
+    return [(args.output, "".join(lines))]
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> list:
     stream = filcodec.decode_stream(_read_flat(args.input))
     key = args.key
     if key == records.KEY_NODES:
@@ -90,13 +95,10 @@ def cmd_extract(args) -> int:
             " ".join(_fmt(a) if isinstance(a, float) else str(a) for a in attrs) + "\n"
             for attrs in records.extract_raw(stream, key)
         )
-    # the whole text is built first, so a bad record leaves an existing output untouched
-    with _out_stream(args.output) as out:
-        out.write(text)
-    return 0
+    return [(args.output, text)]
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> list:
     """Generate a seeded fixture results file: node grid, elements, fields."""
     check_number("--nodes", args.nodes, zero=True)
     check_number("--elements", args.elements, zero=True)
@@ -108,9 +110,8 @@ def cmd_synth(args) -> int:
         node_rows.append((nid, (float(j), float(i))))
     recs = records.node_records(node_rows)
 
-    n_elem = args.elements
     elem_rows = []
-    for eid in range(1, n_elem + 1):
+    for eid in range(1, args.elements + 1):
         i, j = divmod(eid - 1, max(side - 1, 1))
         n0 = i * side + j + 1
         conn = (n0, n0 + 1, n0 + side + 1, n0 + side)
@@ -129,31 +130,27 @@ def cmd_synth(args) -> int:
     recs += records.stress_records(stress_rows)
 
     text = filcodec.encode_stream(recs)
-    text += "\n" if text else ""
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text, newline="")
-    return 0
+    return [(args.output, text + "\n" if text else "")]
 
 
-def cmd_weibull_fit(args) -> int:
+def cmd_weibull_fit(args) -> list:
     fields = weibull.load_element_fields_csv(args.fields)
     samples = weibull.rank_samples(read_csv(args.samples, usecols=0)[:, 0])
     params, trace = weibull.fit_three_parameter(
         fields, samples, V0=args.v0, tol=args.tol, max_iter=args.max_iter
     )
-    print(f"iterations: {len(trace)}")
-    for i, (th, m, su) in enumerate(trace):
-        print(f"iter {i}: sigma_th={_fmt(th)} m={_fmt(m)} sigma_u={_fmt(su)}")
-    print(
-        f"fitted: sigma_th={_fmt(params.sigma_th)} m={_fmt(params.m)} "
-        f"sigma_u={_fmt(params.sigma_u)} V0={_fmt(params.V0)}"
+    text = f"iterations: {len(trace)}\n" + "".join(
+        f"iter {i}: sigma_th={_fmt(th)} m={_fmt(m)} sigma_u={_fmt(su)}\n"
+        for i, (th, m, su) in enumerate(trace)
     )
-    return 0
+    text += (
+        f"fitted: sigma_th={_fmt(params.sigma_th)} m={_fmt(params.m)} "
+        f"sigma_u={_fmt(params.sigma_u)} V0={_fmt(params.V0)}\n"
+    )
+    return [(None, text)]
 
 
-def cmd_hazard(args) -> int:
+def cmd_hazard(args) -> list:
     if args.output and not args.mesh:
         raise ValueError("--mesh is required for grid export")
     fields = weibull.load_element_fields_csv(args.fields)
@@ -163,67 +160,57 @@ def cmd_hazard(args) -> int:
         raise ValueError(f"no element field at load level {level}")
     params = weibull.WeibullParams(args.sigma_th, args.m, args.sigma_u, args.v0)
     pf, log_pf = weibull.hazard_map(field, params)
-    # both outputs are built before either file is opened
-    files = []
+    outputs = []
     if args.output:
         stream = filcodec.decode_stream(filcodec.fil_to_string(args.mesh))
         nodes = records.extract_nodes(stream)
         elements = records.extract_elements(stream)
         grid = gridio.unstructured_grid_text(nodes, elements, "log10_Pf", log_pf)
-        files.append((args.output, grid))
-    table = None
+        outputs.append((args.output, grid))
     if args.csv or not args.output:
         table = "element_index,Pf,log10_Pf\n" + "".join(
             f"{i},{_fmt(p)},{_fmt(lp)}\n" for i, (p, lp) in enumerate(zip(pf, log_pf))
         )
-        if args.csv not in (None, "-"):
-            files.append((args.csv, table))
-            table = None
-    _write_files(files)
-    if table is not None:
-        sys.stdout.write(table)
-    return 0
+        outputs.append((args.csv, table))
+    return outputs
 
 
-def cmd_truss_opt(args) -> int:
+def cmd_truss_opt(args) -> list:
     problem = truss.load_problem(args.config) if args.config else truss.example_problem()
     state, _ = truss.optimize_truss(problem)
-    print(f"areas: [{_fmt(state.areas[0])}, {_fmt(state.areas[1])}] m^2")
-    print(
+    text = (
+        f"areas: [{_fmt(state.areas[0])}, {_fmt(state.areas[1])}] m^2\n"
         f"displacements: ux={_fmt(state.displacements[0])} "
-        f"uy={_fmt(state.displacements[1])} m"
-    )
-    print(
+        f"uy={_fmt(state.displacements[1])} m\n"
         f"member stresses: [{_fmt(state.member_stresses[0])}, "
-        f"{_fmt(state.member_stresses[1])}] Pa"
+        f"{_fmt(state.member_stresses[1])}] Pa\n"
+        f"weight: {_fmt(state.weight)} N\n"
     )
-    print(f"weight: {_fmt(state.weight)} N")
-    return 0
+    return [(None, text)]
 
 
-def cmd_czm_identify(args) -> int:
+def cmd_czm_identify(args) -> list:
     config = czm.ForwardConfig()
     target = czm.load_target_csv(args.target, config)
     box = ((args.box[0], args.box[1]), (args.box[2], args.box[3]))
     params, history = czm.inverse_identify(
         target, box, config=config, tol=args.tol, max_outer=args.max_outer,
     )
-    final = history[-1]
-    print(
+    text = (
         f"Tc={_fmt(params.Tc)} Gamma_c={_fmt(params.Gamma_c)} "
         f"delta_c={_fmt(params.delta_c)} iterations={len(history)} "
-        f"mismatch={_fmt(final.incumbent_mismatch)}"
+        f"mismatch={_fmt(history[-1].incumbent_mismatch)}\n"
+        "iteration,Tc,Gamma_c,mismatch,best_mismatch\n"
     )
-    print("iteration,Tc,Gamma_c,mismatch,best_mismatch")
-    for i, step in enumerate(history):
-        print(
-            f"{i},{_fmt(step.params.Tc)},{_fmt(step.params.Gamma_c)},"
-            f"{_fmt(step.mismatch)},{_fmt(step.incumbent_mismatch)}"
-        )
-    return 0
+    text += "".join(
+        f"{i},{_fmt(step.params.Tc)},{_fmt(step.params.Gamma_c)},"
+        f"{_fmt(step.mismatch)},{_fmt(step.incumbent_mismatch)}\n"
+        for i, step in enumerate(history)
+    )
+    return [(None, text)]
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> list:
     spec = jobs.JobSpec(
         command_template=args.command,
         job_name=args.job,
@@ -233,9 +220,7 @@ def cmd_run(args) -> int:
         timeout=args.timeout,
         cleanup_suffixes=tuple(args.cleanup or ()),
     )
-    fil = jobs.run_job(spec)
-    print(fil)
-    return 0
+    return [(None, f"{jobs.run_job(spec)}\n")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,17 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+            _write_files(args.func(args))
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

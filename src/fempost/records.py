@@ -165,7 +165,10 @@ def _last_wins(rows, what) -> list:
 def _one_width(rows, what) -> list:
     widths = {len(row[-1]) for row in rows}
     if len(widths) > 1:
-        raise MalformedRecord(f"inconsistent {what} {sorted(widths)}")
+        odd = next(row[0] for row in rows if len(row[-1]) != len(rows[0][-1]))
+        raise MalformedRecord(
+            f"inconsistent {what} {sorted(widths)}, first differing at id {odd}"
+        )
     return rows
 
 
@@ -256,7 +259,8 @@ def extract_stresses(stream) -> StressTable:
                 _require(float, comps, "stress component", rec)
             if len(comps) not in (4, 6):
                 raise MalformedRecord(
-                    f"stress record carries {len(comps)} components, expected 4 or 6"
+                    f"stress record carries {len(comps)} components, expected 4 or 6 "
+                    f"in record {rec}"
                 )
             rows.append((eid, ip, comps))
     return StressTable(_one_width(rows, "component counts"))

@@ -251,7 +251,7 @@ def failure_probability(sigma_w, params: WeibullParams):
     if np.any(sw < params.sigma_th):
         raise ValueError("sigma_w below the threshold stress")
     pf = 1.0 - np.exp(-(((sw - params.sigma_th) / params.sigma_u) ** params.m))
-    return float(pf) if np.isscalar(sigma_w) or sw.ndim == 0 else pf
+    return float(pf) if sw.ndim == 0 else pf
 
 
 def empirical_cdf(rank: int, count: int) -> float:

@@ -317,6 +317,67 @@ class TestExtract:
         assert out.splitlines()[0] == "attributes"
 
 
+def _needs(device):
+    return pytest.mark.skipif(not Path(device).exists(), reason=f"no {device}")
+
+
+class TestOutputs:
+    """Every output option takes - for stdout, a file, a device or a pipe."""
+
+    @pytest.fixture
+    def fil(self, capsys, tmp_path):
+        fil = tmp_path / "f.fil"
+        run_cli(capsys, "synth", "--nodes", "9", "--elements", "4", "-o", str(fil))
+        return fil
+
+    @pytest.mark.parametrize("argv", [["decode"], ["extract", "--key", "1901"]])
+    def test_file_output_matches_stdout(self, capsys, tmp_path, fil, argv):
+        out_file = tmp_path / "out.txt"
+        code, _, _ = run_cli(capsys, argv[0], str(fil), *argv[1:], "-o", str(out_file))
+        assert code == 0
+        _, out, _ = run_cli(capsys, argv[0], str(fil), *argv[1:])
+        assert out_file.read_bytes() == out.encode("ascii") and out
+
+    @_needs("/dev/null")
+    @pytest.mark.parametrize(
+        "argv",
+        [["decode", "{fil}"], ["extract", "{fil}", "--key", "1900"], ["synth", "--nodes", "4"]],
+        ids=["decode", "extract", "synth"],
+    )
+    def test_dev_null_output(self, capsys, fil, argv):
+        code, out, err = run_cli(capsys, *(a.format(fil=fil) for a in argv), "-o", "/dev/null")
+        assert (code, out, err) == (0, "", "")
+
+    @_needs("/dev/null")
+    def test_hazard_csv_to_dev_null(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, *_hazard_on_mesh(capsys, tmp_path), "--csv", "/dev/null")
+        assert (code, out, err) == (0, "", "")
+
+    @_needs("/dev/stdout")
+    @pytest.mark.parametrize("option", ["-o", "--csv"])
+    def test_hazard_to_dev_stdout_pipe(self, capsys, tmp_path, option):
+        argv = _hazard_on_mesh(capsys, tmp_path)
+        out_file = tmp_path / "out.txt"
+        assert run_cli(capsys, *argv, option, str(out_file))[0] == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "fempost.cli", *argv, option, "/dev/stdout"],
+            env=env, capture_output=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == out_file.read_bytes()
+
+    def test_hazard_grid_to_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
+        argv = _hazard_on_mesh(capsys, tmp_path)
+        grid = tmp_path / "g.vtk"
+        assert run_cli(capsys, *argv, "-o", str(grid))[0] == 0
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, *argv, "-o", "-")
+        assert code == 0
+        assert out.encode("ascii") == grid.read_bytes()
+        assert not (tmp_path / "-").exists()
+
+
 class TestTrussOpt:
     def test_builtin_example_weight(self, capsys):
         code, out, _ = run_cli(capsys, "truss-opt")

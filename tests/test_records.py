@@ -58,6 +58,14 @@ class TestExtractNodes:
         with pytest.raises(MalformedRecord):
             extract_nodes(stream)
 
+    def test_mixed_dimensions_name_first_odd_id(self):
+        recs = node_records([(4, (0.0, 0.0)), (7, (1.0, 0.0)), (9, (0.0, 1.0, 2.0)), (2, (1.0,))])
+        with pytest.raises(
+            MalformedRecord,
+            match=r"^inconsistent coordinate dimensions \[1, 2, 3\], first differing at id 9$",
+        ):
+            extract_nodes(recs)
+
     def test_duplicate_last_wins(self):
         recs = node_records([(1, (0.0,)), (1, (9.0,))])
         with pytest.warns(UserWarning):
@@ -140,6 +148,25 @@ class TestExtractStresses:
         )
         with pytest.raises(MalformedRecord, match="inconsistent component counts"):
             extract_stresses(round_trip(recs))
+
+    def test_mixed_widths_name_first_odd_id(self):
+        recs = stress_records(
+            [(3, 1, (1.0,) * 4), (3, 2, (1.0,) * 4), (8, 1, (1.0,) * 6), (5, 1, (1.0,) * 4)]
+        )
+        with pytest.raises(
+            MalformedRecord,
+            match=r"^inconsistent component counts \[4, 6\], first differing at id 8$",
+        ):
+            extract_stresses(recs)
+
+    def test_bad_width_names_record(self):
+        bad = LogicalRecord(11, (1.0,) * 5)
+        with pytest.raises(
+            MalformedRecord,
+            match=r"^stress record carries 5 components, expected 4 or 6 in record "
+            + re.escape(str(bad)) + "$",
+        ):
+            extract_stresses([LogicalRecord(1, (2, 1)), bad])
 
     def test_two_pairs_in_order(self):
         rows = [(1, 1, (1.0, 0.0, 0.0, 0.0)), (2, 4, (0.0, 2.0, 0.0, 0.0))]
@@ -450,7 +477,7 @@ def ref_extract_stresses(stream):
             comps = _ref_floats(rec.attributes, "stress component", rec)
             if len(comps) not in (4, 6):
                 raise MalformedRecord(
-                    f"stress record carries {len(comps)} components, expected 4 or 6"
+                    f"stress record carries {len(comps)} components, expected 4 or 6 in record {rec}"
                 )
             rows.append((header[0], header[1], comps))
     return StressTable(records._one_width(rows, "component counts"))

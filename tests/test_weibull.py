@@ -359,6 +359,18 @@ class TestFailureProbability:
         with pytest.raises(ValueError, match="^sigma_w below the threshold stress$"):
             failure_probability(999.0, self.params)
 
+    @pytest.mark.parametrize(
+        "sigma_w", [2200.0, np.float64(2200.0), np.array(2200.0)], ids=["float", "float64", "0-d"]
+    )
+    def test_scalar_gives_float(self, sigma_w):
+        got = failure_probability(sigma_w, self.params)
+        assert type(got) is float
+        assert got == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+
+    def test_one_element_array_stays_array(self):
+        got = failure_probability(np.array([2200.0]), self.params)
+        assert isinstance(got, np.ndarray) and got.shape == (1,)
+
 
 class TestEmpiricalCdf:
     def test_single_sample(self):

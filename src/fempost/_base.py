@@ -1,8 +1,10 @@
 """Plumbing shared by every fempost module: the error base, the numeric
-input check and the CSV reader."""
+input check, the CSV reader and the collector pause of the record layer."""
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
 import numbers
 import warnings
@@ -46,3 +48,29 @@ def read_csv(path, usecols=None) -> np.ndarray:
     if table.shape[0] == 0:
         raise ValueError(f"no data rows in {path}")
     return table
+
+
+def gc_paused(func):
+    """Decorate *func* to run with the cyclic garbage collector disabled.
+
+    For functions that build many cycle-free objects (tuples, lists and dicts
+    of numbers and strings): a collection during them frees nothing, yet walks
+    every tracked object in the process.  The collector is enabled again when
+    the call returns or raises; if it was already disabled, the call leaves it
+    alone.  ``gc.disable`` is process-wide, so a pause also holds off
+    collection in other threads, and a ``gc.disable()`` that another thread
+    makes during the pause is undone when the pause ends.  Never decorate a
+    generator function: the pause would end before the generator runs.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused

@@ -38,12 +38,23 @@ def _read_flat(path) -> str:
     return filcodec.fil_to_string(sys.stdin if path == "-" else path)
 
 
+def _file_identity(fh):
+    """``(st_dev, st_ino)`` of the regular file *fh* writes to, else None."""
+    try:
+        status = os.fstat(fh.fileno())
+    except OSError:  # a stream without a descriptor, such as a captured stdout
+        return None
+    return (status.st_dev, status.st_ino) if stat.S_ISREG(status.st_mode) else None
+
+
 def _write_files(outputs) -> None:
     """Write each ``(path, text)`` output as is, stdout (path None or -) last.
 
     Every file is opened without truncating before any is written; if one
-    cannot be opened, the files this call created are removed again.  Only
-    regular files are truncated, so devices and pipes take output too.
+    cannot be opened, or two outputs name the same regular file (stdout
+    included, when it is one), nothing is written and the files this call
+    created are removed again.  Only regular files are truncated, so devices
+    and pipes take output too.
     """
     files = [(path, text) for path, text in outputs if path not in (None, "-")]
     with ExitStack() as stack:
@@ -51,15 +62,26 @@ def _write_files(outputs) -> None:
         try:
             for path, _ in files:
                 if not Path(path).exists():
-                    created.append(Path(path))
+                    created.append(Path(os.path.realpath(path)))
                 handles.append(stack.enter_context(open(path, "a", newline="")))
-        except OSError:
+            named = [(path, fh) for (path, _), fh in zip(files, handles)]
+            if len(files) < len(outputs):
+                named.append(("-", sys.stdout))
+            seen = {}
+            for path, fh in named:
+                identity = _file_identity(fh)
+                if identity is None:
+                    continue
+                if identity in seen:
+                    raise ValueError(f"outputs {seen[identity]} and {path} name the same file")
+                seen[identity] = path
+        except (OSError, ValueError):
             stack.close()
             for path in created:
                 path.unlink(missing_ok=True)
             raise
         for fh, (_, text) in zip(handles, files):
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            if _file_identity(fh) is not None:
                 fh.truncate(0)
             fh.write(text)
     for path, text in outputs:

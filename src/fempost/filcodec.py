@@ -56,7 +56,10 @@ of 4 + (records decoded) // 256 patterns per call.
 Decoded attribute values are plain Python ``int``, ``float`` and 8-character
 ``str`` objects.  A :class:`LogicalRecord` stores only its key and attributes;
 its length is derived as 2 + the attribute count, so a record cannot disagree
-with the item count it encodes to.
+with the item count it encodes to.  :func:`decode_stream` runs with the cyclic
+garbage collector paused: it builds only records of such values, which can
+form no reference cycle, and unlinks its shapes before it returns, so a
+collection during it would free nothing.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ import re
 from math import isfinite
 from typing import NamedTuple
 
-from ._base import FempostError
+from ._base import FempostError, gc_paused
 
 __all__ = [
     "FilCodecError",
@@ -236,6 +239,7 @@ class _Shape:
         return values
 
 
+@gc_paused
 def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
     """Decode a flat (line-break-free) character stream into logical records.
 
@@ -271,7 +275,8 @@ def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
             if whole is not None:
                 values = predicted.values(whole.groups())
                 if values is not None:
-                    records.append(LogicalRecord(predicted.key, values))
+                    # LogicalRecord(key, values), without its generated __new__
+                    records.append(tuple.__new__(LogicalRecord, (predicted.key, values)))
                     shape, pos = predicted, whole.end()
                     continue
         try:
@@ -296,7 +301,7 @@ def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
                 break
             continue
         key = int(head[2][3:])
-        records.append(LogicalRecord(key, tuple(attributes)))
+        records.append(tuple.__new__(LogicalRecord, (key, tuple(attributes))))
         signature = (flat[pos : head.end()], tuple(codes))
         seen = shapes.get(signature)
         if seen is None:
@@ -307,6 +312,8 @@ def decode_stream(flat: str, lenient: bool = False) -> "list[LogicalRecord]":
         if shape is not None:
             shape.successor = seen
         shape, pos = seen, end
+    for seen in shapes.values():
+        seen.successor = None  # shapes link in cycles: unlink them, leaving no cyclic garbage
     return records
 
 

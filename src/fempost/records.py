@@ -15,6 +15,10 @@ emits a ``UserWarning``.  Every table has one component width: mixed
 coordinate dimensions, nodal-field component counts or stress component
 counts raise :class:`MalformedRecord`.
 
+The extractors and the generators run with the cyclic garbage collector
+paused: they build only tuples, lists and dicts of numbers and strings, which
+can form no reference cycle, so a collection during them would free nothing.
+
 Key conventions used by this package:
 
 * 1901 -- node definition: node id, then coordinates.
@@ -31,7 +35,7 @@ import io
 import warnings
 from dataclasses import dataclass
 
-from ._base import FempostError
+from ._base import FempostError, gc_paused
 from .filcodec import LogicalRecord, str8
 
 __all__ = [
@@ -82,9 +86,15 @@ class _Table:
 
     def to_csv(self, out=None):
         buffer = out if out is not None else io.StringIO()
-        buffer.write(",".join(self._header()) + "\n")
+        write = buffer.write
+        write(",".join(self._header()) + "\n")
+        formats = {}  # cell count -> "%s,...,%s\n"; str() of each cell
         for row in self.rows:
-            buffer.write(",".join(map(str, self._cells(row))) + "\n")
+            cells = self._cells(row)
+            fmt = formats.get(len(cells))
+            if fmt is None:
+                fmt = formats[len(cells)] = ",".join(["%s"] * len(cells)) + "\n"
+            write(fmt % cells)
         return buffer.getvalue() if out is None else None
 
 
@@ -187,6 +197,7 @@ def _id_components(stream, key, what, component):
         yield nid, comps
 
 
+@gc_paused
 def extract_nodes(stream) -> NodeTable:
     """Collect node definitions (key 1901): id, then float coordinates.
 
@@ -211,6 +222,7 @@ def _element_row(rec) -> tuple:
     return eid, etype.rstrip(), conn
 
 
+@gc_paused
 def extract_elements(stream) -> ElementTable:
     """Collect element definitions (key 1900): id, type label, connectivity.
 
@@ -221,6 +233,7 @@ def extract_elements(stream) -> ElementTable:
     return ElementTable(_last_wins(rows, "element"))
 
 
+@gc_paused
 def extract_nodal_field(stream, key: int) -> NodalFieldTable:
     """Collect a nodal result (key 101 displacements, 104 reaction forces)."""
     if key not in (KEY_DISPLACEMENTS, KEY_REACTIONS):
@@ -229,6 +242,7 @@ def extract_nodal_field(stream, key: int) -> NodalFieldTable:
     return NodalFieldTable(key, _one_width(rows, "component counts"))
 
 
+@gc_paused
 def extract_stresses(stream) -> StressTable:
     """Join stress records (key 11) with the preceding element header (key 1).
 
@@ -272,36 +286,42 @@ def extract_raw(stream, key: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Fixture generators: inverse of the extractors above.
+# Fixture generators: inverse of the extractors above.  Each record is built
+# as tuple.__new__(LogicalRecord, (key, attributes)): the same value and type
+# as LogicalRecord(key, attributes), without the generated __new__ call.
 
+@gc_paused
 def node_records(rows) -> list:
     """Build key-1901 records from (node_id, coords) rows."""
     return [
-        LogicalRecord(KEY_NODES, (int(nid), *map(float, coords)))
+        tuple.__new__(LogicalRecord, (KEY_NODES, (int(nid), *map(float, coords))))
         for nid, coords in rows
     ]
 
 
+@gc_paused
 def element_records(rows) -> list:
     """Build key-1900 records from (element_id, element_type, connectivity)."""
     return [
-        LogicalRecord(KEY_ELEMENTS, (int(eid), str8(etype), *map(int, conn)))
+        tuple.__new__(LogicalRecord, (KEY_ELEMENTS, (int(eid), str8(etype), *map(int, conn))))
         for eid, etype, conn in rows
     ]
 
 
+@gc_paused
 def nodal_field_records(key: int, rows) -> list:
     """Build key-101/104 records from (node_id, components) rows."""
     return [
-        LogicalRecord(key, (int(nid), *map(float, comps)))
+        tuple.__new__(LogicalRecord, (key, (int(nid), *map(float, comps))))
         for nid, comps in rows
     ]
 
 
+@gc_paused
 def stress_records(rows) -> list:
     """Build paired key-1 / key-11 records from (eid, ip, components) rows."""
     records = []
     for eid, ip, comps in rows:
-        records.append(LogicalRecord(KEY_ELEMENT_HEADER, (int(eid), int(ip))))
-        records.append(LogicalRecord(KEY_STRESS, tuple(map(float, comps))))
+        records.append(tuple.__new__(LogicalRecord, (KEY_ELEMENT_HEADER, (int(eid), int(ip)))))
+        records.append(tuple.__new__(LogicalRecord, (KEY_STRESS, tuple(map(float, comps)))))
     return records

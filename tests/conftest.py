@@ -1,5 +1,7 @@
-"""Shared helpers: randomized stream generation and a stub solver script."""
+"""Shared helpers: randomized stream generation, a stub solver script and a
+check that every test leaves the garbage collector enabled."""
 
+import gc
 import random
 import string
 import textwrap
@@ -43,6 +45,15 @@ def random_record(rng: random.Random, max_attrs: int = 50) -> LogicalRecord:
 
 def random_stream(rng: random.Random, max_records: int = 10, max_attrs: int = 50):
     return [random_record(rng, max_attrs) for _ in range(rng.randrange(0, max_records + 1))]
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that leaves the cyclic garbage collector disabled."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 #: Displacement rows every stub run plants in its results file.

@@ -1,16 +1,19 @@
-"""The shared error base, numeric input check and CSV reader."""
+"""The shared error base, numeric input check, CSV reader and collector pause."""
 
+import gc
 import importlib
 import inspect
 import math
 import pkgutil
+import random
 
 import numpy as np
 import pytest
 
 import fempost
 from fempost import cli, czm, filcodec, jobs, records, truss, weibull
-from fempost._base import check_number, read_csv
+from conftest import random_stream
+from fempost._base import check_number, gc_paused, read_csv
 
 
 MODULES = [
@@ -113,3 +116,137 @@ class TestReadCsv:
         path.write_text(f"a,b\n{number},1\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_csv(path)
+
+
+#: Code object every gc_paused wrapper runs.
+PAUSED_CODE = gc_paused(lambda: None).__code__
+
+#: The functions that build record lists or tables, each run paused.
+PAUSED = {
+    "fempost.filcodec.decode_stream",
+    "fempost.records.extract_nodes",
+    "fempost.records.extract_elements",
+    "fempost.records.extract_nodal_field",
+    "fempost.records.extract_stresses",
+    "fempost.records.node_records",
+    "fempost.records.element_records",
+    "fempost.records.nodal_field_records",
+    "fempost.records.stress_records",
+}
+
+
+def paused_functions():
+    return {
+        f"{m.__name__}.{name}": func
+        for m in MODULES
+        for name, func in inspect.getmembers(m, inspect.isfunction)
+        if func.__code__ is PAUSED_CODE and func.__module__ == m.__name__
+    }
+
+
+def synth_stream(tmp_path, capsys):
+    path = tmp_path / "mesh.fil"
+    assert cli.main(["synth", "--nodes", "30", "--elements", "20", "-o", str(path)]) == 0
+    capsys.readouterr()
+    return filcodec.decode_stream(filcodec.fil_to_string(path))
+
+
+class Probe:
+    """An iterable over *items* that records whether the collector was
+    enabled when iteration began."""
+
+    def __init__(self, items):
+        self.items, self.enabled = items, None
+
+    def __iter__(self):
+        self.enabled = gc.isenabled()
+        return iter(self.items)
+
+
+#: A call of each paused records function on a probed iterable.
+PROBED_CALLS = {
+    "extract_nodes": lambda probe: records.extract_nodes(probe),
+    "extract_elements": lambda probe: records.extract_elements(probe),
+    "extract_nodal_field": lambda probe: records.extract_nodal_field(probe, 101),
+    "extract_stresses": lambda probe: records.extract_stresses(probe),
+    "node_records": lambda probe: records.node_records(probe),
+    "element_records": lambda probe: records.element_records(probe),
+    "nodal_field_records": lambda probe: records.nodal_field_records(101, probe),
+    "stress_records": lambda probe: records.stress_records(probe),
+}
+
+
+class TestGcPause:
+    def test_exactly_the_record_builders_are_paused(self):
+        paused = paused_functions()
+        assert set(paused) == PAUSED
+        assert {f"fempost.records.{name}" for name in PROBED_CALLS} < PAUSED
+        for name, func in paused.items():
+            # a paused generator function would pause only the generator's creation
+            assert not inspect.isgeneratorfunction(func.__wrapped__), name
+
+    @pytest.mark.parametrize("name", sorted(PROBED_CALLS))
+    def test_paused_while_running_and_restored(self, name):
+        probe = Probe([])
+        PROBED_CALLS[name](probe)
+        assert probe.enabled is False
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: filcodec.decode_stream("*I 3garbled"), filcodec.FilCodecError),
+            (lambda: records.extract_nodes([filcodec.LogicalRecord(1901, (1.5,))]),
+             records.MalformedRecord),
+            (lambda: records.element_records([(1, "CPE4RHXYZ", (1,))]), filcodec.FilCodecError),
+        ],
+        ids=["decode", "extract", "generate"],
+    )
+    def test_restored_after_a_raise(self, call, error):
+        with pytest.raises(error):
+            call()
+        assert gc.isenabled()
+
+    def test_a_callers_disable_holds(self, tmp_path, capsys):
+        stream = synth_stream(tmp_path, capsys)
+        flat = filcodec.encode_stream(stream).replace("\n", "")
+        gc.disable()
+        try:
+            for name, call in PROBED_CALLS.items():
+                probe = Probe(stream if name.startswith("extract") else [])
+                call(probe)
+                assert probe.enabled is False and not gc.isenabled(), name
+            assert filcodec.decode_stream(flat) == stream
+            assert not gc.isenabled()
+            with pytest.raises(filcodec.FilCodecError):
+                filcodec.decode_stream("*I 3garbled")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_records_and_tables_hold_no_cycles(self, tmp_path, capsys):
+        rng = random.Random(20260823)
+        flats = [
+            filcodec.encode_stream(random_stream(rng)).replace("\n", "") for _ in range(200)
+        ]
+        mesh = filcodec.encode_stream(synth_stream(tmp_path, capsys)).replace("\n", "")
+        gc.collect()
+        gc.disable()  # no automatic collection may hide a cycle from the last one
+        try:
+            kept = [filcodec.decode_stream(flat) for flat in flats]
+            stream = filcodec.decode_stream(mesh)
+            nodes = records.extract_nodes(stream)
+            elements = records.extract_elements(stream)
+            field = records.extract_nodal_field(stream, 101)
+            stresses = records.extract_stresses(stream)
+            built = (
+                records.node_records(nodes.rows)
+                + records.element_records(elements.rows)
+                + records.nodal_field_records(101, field.rows)
+                + records.stress_records(stresses.rows)
+            )
+            assert built == stream
+            del kept, stream, nodes, elements, field, stresses, built
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

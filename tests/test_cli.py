@@ -240,6 +240,33 @@ class TestDomainErrors:
             assert code == 0
         assert [p.read_bytes() for p in old] == [p.read_bytes() for p in new]
 
+    @pytest.mark.parametrize(
+        "alias, target_exists",
+        [("same-path", False), ("same-path", True), ("hard-link", True),
+         ("symlink", False), ("symlink", True)],
+    )
+    def test_aliased_outputs_refused(self, capsys, tmp_path, alias, target_exists):
+        target = tmp_path / "out.txt"
+        other = tmp_path / "alias.txt"
+        if target_exists:
+            target.write_bytes(b"an earlier output\r\n")
+        if alias == "hard-link":
+            os.link(target, other)
+        if alias == "symlink":
+            other.symlink_to(target.name)
+        if alias == "same-path":
+            other = target
+        code, out, err = run_cli(
+            capsys, *_hazard_on_mesh(capsys, tmp_path), "-o", str(target), "--csv", str(other)
+        )
+        assert (code, out) == (2, "")
+        assert f"outputs {target} and {other} name the same file" in err
+        if target_exists:
+            assert target.read_bytes() == b"an earlier output\r\n"
+        else:
+            assert not target.exists()
+        assert other.is_symlink() == (alias == "symlink")
+
 
 class TestSynthDecode:
     def test_round_trip_pipeline(self, capsys, tmp_path):
@@ -366,6 +393,23 @@ class TestOutputs:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == out_file.read_bytes()
+
+    @_needs("/dev/stdout")
+    def test_dev_stdout_and_dash_share_a_pipe_but_not_a_file(self, capsys, tmp_path):
+        argv = _hazard_on_mesh(capsys, tmp_path)
+        grid, table = tmp_path / "g.vtk", tmp_path / "pf.csv"
+        assert run_cli(capsys, *argv, "-o", str(grid), "--csv", str(table))[0] == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        command = [sys.executable, "-m", "fempost.cli", *argv, "-o", "/dev/stdout", "--csv", "-"]
+        piped = subprocess.run(command, env=env, capture_output=True)
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout == grid.read_bytes() + table.read_bytes()
+        redirected = tmp_path / "stdout.txt"
+        with open(redirected, "wb") as fh:
+            result = subprocess.run(command, env=env, stdout=fh, stderr=subprocess.PIPE)
+        assert result.returncode == 2
+        assert b"outputs /dev/stdout and - name the same file" in result.stderr
+        assert redirected.read_bytes() == b""
 
     def test_hazard_grid_to_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
         argv = _hazard_on_mesh(capsys, tmp_path)

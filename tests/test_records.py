@@ -375,6 +375,61 @@ class TestCsvGolden:
         assert len(table) == len(table.rows)
 
 
+def joined_csv(table) -> str:
+    """The row writer to_csv replaced: one ",".join(map(str, cells)) per row."""
+    lines = [",".join(table._header())]
+    lines += [",".join(map(str, table._cells(row))) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Stress(float):
+    def __str__(self):
+        return f"Stress({float(self)!r})"
+
+
+class TestCsvMatchesJoinedRows:
+    """to_csv writes each row from one format per cell count; the bytes are
+    those of joining str() of every cell."""
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            *(
+                NodeTable([(i, tuple(0.1 * i + j for j in range(dim))) for i in range(1, 5)])
+                for dim in (1, 2, 3)
+            ),
+            StressTable([(1, 1, (1.0, -2.5, 3e-300, 4.0)), (2, 3, (0.0, -0.0, 5.5, 1e22))]),
+            StressTable([(7, 2, (1.0, 2.0, 3.0, 4.0, 5.0, 6.125))]),
+            NodalFieldTable(101, [(3, (0.1, -2.0)), (4, (1e300, 2.2250738585072014e-308))]),
+            ElementTable([(7, "CPE4", (1, 2, 3, 4)), (8, "C3D8", (5,)), (9, "T2D2", ())]),
+            NodeTable([]),
+            StressTable([(True, Level.LOW, (Stress(1.5), np.float64(2.0), 3.0, False))]),
+            NodeTable([(np.int64(1), (np.float64(0.1), np.float32(0.2)))]),
+            NodeTable([(1, (0.5,)), (2, (1.0, 2.0, 3.0)), (3, ()), (4, (4.0,))]),
+        ],
+        ids=[
+            "nodes-1d", "nodes-2d", "nodes-3d", "stress-4", "stress-6", "nodal-field",
+            "elements", "empty", "odd-cells", "numpy-cells", "ragged",
+        ],
+    )
+    def test_bytes_equal(self, table):
+        assert table.to_csv() == joined_csv(table)
+
+    def test_generated_mesh(self):
+        rng = random.Random(32)
+        nodes = [(i, (rng.gauss(0, 1), rng.gauss(0, 1))) for i in range(1, 200)]
+        stresses = [(i, 1, tuple(rng.gauss(0, 1e3) for _ in range(6))) for i in range(1, 200)]
+        for table in (
+            extract_nodes(round_trip(node_records(nodes))),
+            extract_stresses(round_trip(stress_records(stresses))),
+        ):
+            assert table.to_csv() == joined_csv(table)
+
+
 class TestDuplicateIds:
     """Duplicate ids keep the last record, move it to the end and warn."""
 

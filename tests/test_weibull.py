@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -370,6 +371,36 @@ class TestFailureProbability:
     def test_one_element_array_stays_array(self):
         got = failure_probability(np.array([2200.0]), self.params)
         assert isinstance(got, np.ndarray) and got.shape == (1,)
+
+    @staticmethod
+    def exact(sigma_w, params) -> Decimal:
+        """1 - exp(-z**m) of the given doubles, to 50 significant digits."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            z = (Decimal(sigma_w) - Decimal(params.sigma_th)) / Decimal(params.sigma_u)
+            power = (Decimal(params.m) * z.ln()).exp()
+            ctx.prec = 60 + max(0, -power.adjusted())  # keep 50 digits of 1 - exp
+            return 1 - (-power).exp()
+
+    @pytest.mark.parametrize("sigma_w, pf", [(0.03, "5.9049e-16"), (0.01, "1e-20")])
+    def test_small_probability_keeps_its_digits(self, sigma_w, pf):
+        params = WeibullParams(0.0, 10.0, 1.0, 1.0)
+        exact = self.exact(sigma_w, params)
+        assert float(exact) == pytest.approx(float(pf), rel=1e-14)
+        got = failure_probability(sigma_w, params)
+        assert abs(Decimal(got) - exact) <= exact * Decimal(14 * 2.0**-52)
+
+    def test_relative_error_bound(self):
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            m = rng.uniform(0.5, 50.0)
+            power = 10.0 ** rng.uniform(-300.0, math.log10(700.0))  # z**m
+            sigma_th = rng.choice([0.0, rng.uniform(0.0, 1e3)])
+            params = WeibullParams(sigma_th, m, 10.0 ** rng.uniform(-3.0, 12.0), 1.0)
+            sigma_w = params.sigma_th + power ** (1.0 / m) * params.sigma_u
+            exact = self.exact(sigma_w, params)
+            got = failure_probability(sigma_w, params)
+            assert abs(Decimal(got) - exact) <= exact * Decimal((m + 4) * 2.0**-52), (sigma_w, params)
 
 
 class TestEmpiricalCdf:
